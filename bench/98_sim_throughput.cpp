@@ -18,7 +18,10 @@
 /// batches — and records per-K configs/sec, speedup over the scalar loop,
 /// and mean lane occupancy. K = 1 isolates raw engine speed (no batching);
 /// wider K adds trace sharing and lane scheduling. Batched cycle totals are
-/// shape-checked bit-identical against the scalar pass.
+/// shape-checked bit-identical against the scalar pass. There is one engine:
+/// the "scalar" pass is `sim::simulate`, i.e. the same engine at K = 1 with
+/// the trace decoded on every run, so every speedup the sweep reports is
+/// relative to that one-lane path.
 ///
 /// The scalar loop and every sweep can be repeated (ADSE_BENCH98_REPEATS)
 /// with the *minimum* time kept — the standard defence against a noisy

@@ -27,7 +27,8 @@ std::uint64_t lines_spanned(std::uint64_t addr, std::uint32_t size,
 }
 
 /// The fetch stage streams an op from the loop buffer (no fetch-block bytes)
-/// under exactly this predicate — keep in sync with Core::stage_frontend.
+/// under exactly this predicate — keep in sync with kLoopCandidate in
+/// core/batched_core.cpp.
 /// TraceSummary folds the loop-buffer-size comparison into the cumulative
 /// table, so only the structural half lives here.
 bool loop_streamable(const isa::MicroOp& op) {

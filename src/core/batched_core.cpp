@@ -66,10 +66,12 @@ struct BatchedCore::DecodedOp {
   bool has(std::uint8_t bit) const { return (info & bit) != 0; }
 };
 
-/// Per-config pipeline state: the exact dynamic state of `core::Core`, one
-/// instance per lane, with the register files and waiter lists inlined (the
-/// wakeup lists become one intrusive linked list over RS operand slots, so a
-/// lane's whole wakeup machinery is two flat arrays).
+/// Per-config pipeline state, one instance per lane. Register renaming
+/// follows the merged-register-file scheme: a rename allocates a new physical
+/// register, and committing the op frees the *previous* mapping of its
+/// destination. Each physical register keeps the RS operands waiting on it as
+/// one intrusive linked list over RS operand slots, so a lane's whole wakeup
+/// machinery is two flat arrays.
 struct BatchedCore::Lane {
   enum class RobState : std::uint8_t { kWaiting, kIssued, kCompleted };
   enum class LsqState : std::uint8_t { kWaitAgu, kReadyToSend, kInFlight, kDone };
@@ -88,6 +90,9 @@ struct BatchedCore::Lane {
     std::uint64_t seq = 0;
     std::uint32_t rob_slot = 0;
     std::uint8_t group = 0;
+    /// Source operands still pending. The entry sits on one waiter list per
+    /// pending source; when the count hits zero it moves to the seq-ordered
+    /// ready list and is never polled again.
     std::uint8_t not_ready = 0;
   };
 
@@ -98,6 +103,10 @@ struct BatchedCore::Lane {
     std::uint32_t size = 0;
     std::uint32_t rob_slot = 0;
     std::uint64_t seq = 0;
+    /// Loads only: SQ slot/seq of the youngest older overlapping store,
+    /// resolved once at dispatch (addresses are known then and older stores
+    /// can only *leave* the SQ afterwards — in order, youngest-overlap last —
+    /// so the cache stays exact). -1 = no older overlapping store.
     std::int32_t dep_slot = -1;
     std::uint64_t dep_seq = 0;
   };
@@ -212,7 +221,7 @@ struct BatchedCore::Lane {
   isa::PortLayout ports;
   mem::MemoryHierarchy* hierarchy;
 
-  // ---- dynamic state (mirrors core::Core field for field) ----
+  // ---- dynamic state ----
   std::array<RegFile, isa::kNumRegClasses> regs;
   std::vector<std::int32_t> waiter_next;  ///< RS operand slot -> next node
 
@@ -231,9 +240,15 @@ struct BatchedCore::Lane {
   std::uint32_t lq_head = 0, lq_count = 0;
   std::vector<LsqEntry> sq;
   std::uint32_t sq_head = 0, sq_count = 0;
+  // Slots currently in kReadyToSend, ascending seq. An entry enters on AGU
+  // completion and leaves only by being sent or forwarded, never by commit
+  // (commit requires kDone), so mem send never scans the queues.
   std::vector<std::uint32_t> ready_lq, ready_sq;
   std::vector<FeqOp> feq;
   std::uint32_t feq_head = 0, feq_count = 0;
+  // Execution completion event wheel (latencies are small constants). Bit b
+  // of the occupancy mask is set iff bucket b is non-empty, so the next
+  // occupied bucket is one rotate + countr_zero away.
   static constexpr std::uint32_t kBucketCount = 32;
   std::array<std::vector<ExecDone>, kBucketCount> exec_buckets;
   std::uint32_t exec_bucket_mask = 0;
@@ -250,8 +265,8 @@ namespace {
 
 using Lane = BatchedCore::Lane;
 
-// Rings use conditional wrapping instead of the scalar model's `% size()`:
-// the sizes are runtime values, so modulo is an integer division per use.
+// Rings use conditional wrapping instead of `% size()`: the sizes are
+// runtime values, so modulo would be an integer division per use.
 std::uint32_t ring_next(std::uint32_t i, std::uint32_t cap) {
   const std::uint32_t n = i + 1;
   return n == cap ? 0 : n;
@@ -279,10 +294,10 @@ void insert_lsq_ready(std::vector<std::uint32_t>& list,
   list.insert(it, slot);
 }
 
-/// Marks a destination ready and delivers the wakeups. Delivery order is
-/// reversed relative to the scalar model's FIFO waiter vectors, which cannot
-/// be observed: wakeups only decrement pending-source counts, and the ready
-/// list is ordered by seq, not by insertion.
+/// Marks a destination ready and delivers the wakeups. Delivery order (last
+/// registered first) cannot be observed: wakeups only decrement
+/// pending-source counts, and the ready list is ordered by seq, not by
+/// insertion.
 void wake_consumers(Lane& l, isa::RegClass cls, std::int32_t phys) {
   Lane::RegFile& f = l.regs[static_cast<std::size_t>(cls)];
   f.ready[static_cast<std::size_t>(phys)] = 1;
@@ -895,18 +910,6 @@ DecodedTrace::~DecodedTrace() = default;
 
 std::size_t DecodedTrace::size() const { return impl_->ops.size(); }
 
-std::vector<CoreStats> BatchedCore::run(const isa::Program& program,
-                                        std::uint64_t max_cycles) {
-  ADSE_REQUIRE_MSG(!program.ops.empty(), "empty program");
-  ADSE_REQUIRE_MSG(!ran_, "BatchedCore::run is single-use");
-  ran_ = true;
-  check_ = CheckContext::enabled();
-  max_cycles_ = max_cycles;
-  program_name_ = program.name.c_str();
-  decode_program(program, owned_decoded_);
-  return run_decoded(owned_decoded_);
-}
-
 std::vector<CoreStats> BatchedCore::run(const DecodedTrace& trace,
                                         std::uint64_t max_cycles) {
   ADSE_REQUIRE_MSG(!ran_, "BatchedCore::run is single-use");
@@ -914,13 +917,8 @@ std::vector<CoreStats> BatchedCore::run(const DecodedTrace& trace,
   check_ = CheckContext::enabled();
   max_cycles_ = max_cycles;
   program_name_ = trace.name().c_str();
-  return run_decoded(trace.impl_->ops);
-}
-
-std::vector<CoreStats> BatchedCore::run_decoded(
-    const std::vector<DecodedOp>& decoded) {
-  const std::span<const DecodedOp> ops(decoded);
-  const std::size_t n = decoded.size();
+  const std::span<const DecodedOp> ops(trace.impl_->ops);
+  const std::size_t n = ops.size();
   std::vector<std::uint32_t> active(lanes_.size());
   std::iota(active.begin(), active.end(), 0u);
   std::vector<CoreStats> out(lanes_.size());

@@ -1,25 +1,56 @@
 #pragma once
 /// \file batched_core.hpp
-/// Config-parallel core simulation: K configurations executed per trace
-/// pass. All lanes share one decoded µop stream (decode/fetch metadata is
-/// extracted once per batch, not once per config) and keep their own
-/// structure-of-arrays pipeline state — ROB/LSQ rings, RS free list,
-/// per-phys-reg waiter lists, execution event wheel, register files — laid
-/// out per lane so the engine sweeps lane-major over a cache-resident trace
-/// window.
+/// The SimEng-substitute core model: a cycle-driven, trace-fed out-of-order
+/// superscalar pipeline, run for K configurations per trace pass. Every
+/// simulation in the repository runs on this engine; a single simulation is
+/// a batch of one lane.
 ///
-/// Scheduling is windowed round-robin: the trace is cut into fixed-size
-/// windows; each active lane runs cycles until its fetch cursor crosses the
-/// window boundary, then the next lane reuses the same (hot) window. Lanes
-/// that finish early are retired from the active set by swap-erase
-/// compaction, so a batch never drags dead lanes.
+/// Pipeline (per simulated cycle, processed back to front so same-cycle
+/// structural hazards resolve like a real pipeline):
 ///
-/// Semantics are bit-identical to `core::Core` — same stage order, same
-/// ready-list orderings, same memory-completion tie-breaking, same stats
-/// attribution (tests/test_batch_sim.cpp and the golden-cycles gate prove
-/// it). Lanes are fully independent, so the interleaving the scheduler picks
-/// cannot affect any lane's counts; the engine is purely a throughput
-/// optimisation (DESIGN.md §12).
+///   COMMIT    — in order, up to commit_width completed ROB entries; frees
+///               previous register mappings and LQ/SQ entries.
+///   COMPLETE  — memory responses drain through the LSQ completion pipe
+///               (lsq_completion_width per cycle); ALU results complete from
+///               the execution buckets; destinations wake RS consumers.
+///   MEM SEND  — ready loads/stores go to the memory hierarchy subject to
+///               Table II's per-cycle request/load/store caps and load/store
+///               bandwidth (bytes per cycle); loads check older stores for
+///               forwarding or conflicts first.
+///   ISSUE     — oldest-first from the unified reservation station onto the
+///               configured ports (L/S, SVE, predicate, mixed).
+///   DISPATCH  — up to dispatch_width µops/cycle from the frontend queue into
+///               ROB + RS (+ LQ/SQ for memory ops).
+///   FRONTEND  — fetch/decode/rename up to frontend_width µops, bounded by
+///               the fetch block (bytes/cycle) unless streaming from the
+///               loop buffer; renaming stalls when a physical register file
+///               is exhausted.
+///
+/// Branches are trace-driven (perfectly predicted); the hardware-proxy layer
+/// adds mispredict penalties through `CoreFidelity`. An event skip
+/// fast-forwards idle cycles so memory-latency-bound regions simulate
+/// quickly without changing counts.
+///
+/// The hot loop is event-driven (DESIGN.md §7): issue is wakeup-driven (RS
+/// entries count not-ready sources and are pushed onto a seq-ordered ready
+/// list by completing producers instead of being scanned and sorted every
+/// cycle), RS slots come from a free list, loads cache their
+/// youngest-older-overlapping-store dependence at dispatch, and execution
+/// completions live on an occupancy-masked event wheel so the idle-skip
+/// target is found in O(1). All of it is a pure scheduling-cost
+/// optimisation: cycle counts are bit-identical to the brute-force
+/// per-cycle seed model (tests/test_golden_cycles.cpp pins them).
+///
+/// Lanes: all lanes share one decoded µop stream (decode/fetch metadata is
+/// extracted once per trace, not once per config) and keep their own
+/// pipeline state — ROB/LSQ rings, RS free list, per-phys-reg waiter lists,
+/// execution event wheel, register files. Scheduling is windowed
+/// round-robin: the trace is cut into fixed-size windows; each active lane
+/// runs cycles until its fetch cursor crosses the window boundary, then the
+/// next lane reuses the same (hot) window. Lanes that finish early are
+/// retired from the active set by swap-erase compaction, so a batch never
+/// drags dead lanes. Lanes are fully independent, so the interleaving the
+/// scheduler picks cannot affect any lane's counts (DESIGN.md §12).
 
 #include <cstdint>
 #include <memory>
@@ -28,12 +59,26 @@
 #include <vector>
 
 #include "config/cpu_config.hpp"
-#include "core/core.hpp"
 #include "core/core_stats.hpp"
 #include "isa/program.hpp"
 #include "mem/hierarchy.hpp"
 
 namespace adse::core {
+
+/// Extra effects for hardware-proxy fidelity (see sim/hardware_proxy).
+struct CoreFidelity {
+  /// Every `mispredict_interval`-th branch flushes the frontend for
+  /// `mispredict_penalty` cycles (deterministic, reproducible). 0 = off.
+  int mispredict_interval = 0;
+  int mispredict_penalty = 12;
+  /// Mispredict every loop-exit branch (how real predictors actually miss on
+  /// loop-heavy HPC codes) instead of, or in addition to, the fixed interval.
+  bool mispredict_loop_exits = false;
+  /// Store->load forwarding latency in cycles. The campaign simulator uses
+  /// the idealised 1 cycle (as SimEng's LSQ effectively does); real cores
+  /// pay ~10 cycles, which the hardware proxy models.
+  int forward_latency = 1;
+};
 
 /// Scheduler observability for a batched run (lane-occupancy accounting the
 /// bench records: how full the batch stayed as lanes retired early).
@@ -51,9 +96,10 @@ struct BatchRunInfo {
 };
 
 /// A program decoded once into the engine's flat µop records, shareable
-/// across every batch run of the same (app, VL) trace — chunked campaigns
-/// decode each group's trace once, not once per K-lane chunk. Immutable
-/// after construction, so concurrent engine runs may share one instance.
+/// across every batch run of the same (app, VL) trace: a caller that chunks
+/// one group into many K-lane batches can decode once rather than once per
+/// chunk. Immutable after construction, so concurrent engine runs may share
+/// one instance. Throws on an empty program.
 class DecodedTrace {
  public:
   explicit DecodedTrace(const isa::Program& program);
@@ -94,14 +140,9 @@ class BatchedCore {
   BatchedCore(const BatchedCore&) = delete;
   BatchedCore& operator=(const BatchedCore&) = delete;
 
-  /// Runs `program` to completion on every lane; stats come back in lane
-  /// (== config) order. Single-use, like constructing a fresh `Core` per
-  /// run. Throws if any lane exceeds `max_cycles`.
-  std::vector<CoreStats> run(const isa::Program& program,
-                             std::uint64_t max_cycles = 2'000'000'000ULL);
-
-  /// Same, against a pre-decoded trace (decode amortised across many batch
-  /// runs of one (app, VL) group). `trace` must outlive the call.
+  /// Runs `trace` to completion on every lane; stats come back in lane
+  /// (== config) order. Single-use: an engine holds one run's state. Throws
+  /// if any lane exceeds `max_cycles` (guards against model deadlock).
   std::vector<CoreStats> run(const DecodedTrace& trace,
                              std::uint64_t max_cycles = 2'000'000'000ULL);
 
@@ -115,10 +156,8 @@ class BatchedCore {
 
  private:
   void step_cycle(Lane& lane, std::span<const DecodedOp> ops);
-  std::vector<CoreStats> run_decoded(const std::vector<DecodedOp>& ops);
 
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<DecodedOp> owned_decoded_;
   BatchRunInfo info_;
   std::uint64_t max_cycles_ = 0;
   const char* program_name_ = "";

@@ -57,15 +57,11 @@ class Backend {
   virtual sim::RunResult run(const config::CpuConfig& config, kernels::App app,
                              const isa::Program& trace) const = 0;
 
-  /// True if `run_batch` beats a scalar loop (the service only groups and
-  /// chunks requests for backends that say so).
-  virtual bool supports_batch() const { return false; }
-
   /// Evaluates K (config, app) pairs against one shared trace; results come
   /// back in config order. All configs must share the trace's vector length.
-  /// The default is the scalar loop, so every backend accepts batched
-  /// dispatch; the cycle simulator overrides with the config-parallel
-  /// engine (sim::simulate_batch).
+  /// The service groups and chunks requests into these batches for every
+  /// backend that `needs_trace()`. The default is the scalar loop; the cycle
+  /// simulator overrides with one K-lane engine pass (sim::simulate_batch).
   virtual std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
       const isa::Program& trace) const;
@@ -78,7 +74,6 @@ class SimulatorBackend final : public Backend {
   const std::string& key() const override;
   sim::RunResult run(const config::CpuConfig& config, kernels::App app,
                      const isa::Program& trace) const override;
-  bool supports_batch() const override { return true; }
   std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
       const isa::Program& trace) const override;

@@ -290,8 +290,7 @@ std::vector<EvalResponse> EvalService::evaluate_plain(
   obs::Span span("eval.batch", "eval");
   span.set_detail(std::to_string(requests.size()) + " requests");
   const Backend& chosen = backend != nullptr ? *backend : simulator_;
-  if (batch_k_ > 1 && requests.size() > 1 && chosen.supports_batch() &&
-      chosen.needs_trace()) {
+  if (batch_k_ > 1 && requests.size() > 1 && chosen.needs_trace()) {
     return evaluate_batched(requests, chosen, batch_k_, progress);
   }
   std::atomic<std::size_t> done{0};

@@ -1,8 +1,8 @@
 #include "sim/hardware_proxy.hpp"
 
-#include <algorithm>
+#include <utility>
 
-#include "common/require.hpp"
+#include "sim/batch_sim.hpp"
 
 namespace adse::sim {
 
@@ -30,17 +30,9 @@ RunResult simulate_hardware(const config::CpuConfig& config,
   core_fidelity.mispredict_penalty = options.mispredict_penalty;
   core_fidelity.forward_latency = options.forward_latency;
 
-  mem::MemoryHierarchy hierarchy(hw.mem, config::kCoreClockGhz, mem_fidelity);
-  core::Core core(hw, hierarchy, core_fidelity);
-
-  RunResult result;
-  result.app = program.name;
-  result.config_name = hw.name;
-  result.core = core.run(program);
-  result.mem = hierarchy.stats();
-  result.power = power::analyze(hw, result.core, result.mem);
-  validate_result(result, program);
-  return result;
+  const core::DecodedTrace decoded(program);
+  return std::move(simulate_lanes({&hw, 1}, program, decoded, mem_fidelity,
+                                  core_fidelity, nullptr)[0]);
 }
 
 RunResult simulate_hardware_app(const config::CpuConfig& config,

@@ -3,9 +3,10 @@
 /// Deterministic lockstep simulation of N tile cores over a ThreadedProgram:
 /// one simple in-order core per tile (commit-width IPC cap, blocking loads,
 /// posted stores) driving the coherent TiledMemory. The tile core is
-/// deliberately simpler than core::Core — the out-of-order model owns the
-/// single-core fidelity story, while the multicore mode isolates what the
-/// coherence protocol and the shared memory system do to scaling. Fully
+/// deliberately simpler than the out-of-order engine (core::BatchedCore),
+/// which owns the single-core fidelity story, while the multicore mode
+/// isolates what the coherence protocol and the shared memory system do to
+/// scaling. Fully
 /// deterministic: same config + program + options => bit-identical cycles
 /// (pinned by tests/test_golden_cycles.cpp).
 

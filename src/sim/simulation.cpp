@@ -1,80 +1,20 @@
 #include "sim/simulation.hpp"
 
-#include "common/check.hpp"
+#include <utility>
+
 #include "common/require.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/batch_sim.hpp"
 
 namespace adse::sim {
 
 RunResult simulate(const config::CpuConfig& config,
                    const isa::Program& program) {
-  // Coarse, per-simulation observability only: one span and two counter
-  // adds per run. The per-cycle hot loop stays uninstrumented so tracing/
-  // metrics cannot regress bench/98 throughput.
+  // One span per simulation; the decode runs inside it, like the engine.
   obs::Span span("sim.simulate", "sim");
-  mem::MemoryHierarchy hierarchy(config.mem, config::kCoreClockGhz);
-  core::Core core(config, hierarchy);
-  RunResult result;
-  result.app = program.name;
-  result.config_name = config.name;
-  result.core = core.run(program);
-  result.mem = hierarchy.stats();
-  result.power = power::analyze(config, result.core, result.mem);
-  validate_result(result, program);
-  if (CheckContext::enabled()) {
-    // Cross-component conservation the per-cycle core checks cannot see:
-    // every traced memory op either reached the hierarchy or was forwarded,
-    // and the hierarchy agrees with the LSQ on what it served. The oracle
-    // cycle bounds live one layer up (check::verify_run) to keep adse_sim
-    // free of a dependency on the check library.
-    ADSE_REQUIRE_MSG(result.mem.loads == result.core.loads_sent,
-                     "hierarchy saw " << result.mem.loads << " loads, LSQ sent "
-                                      << result.core.loads_sent);
-    ADSE_REQUIRE_MSG(result.mem.stores == result.core.stores_sent,
-                     "hierarchy saw " << result.mem.stores
-                                      << " stores, LSQ sent "
-                                      << result.core.stores_sent);
-    ADSE_REQUIRE_MSG(result.mem.l1_hits + result.mem.l1_misses ==
-                         result.mem.line_requests,
-                     "cache accounting unbalanced after run");
-  }
-  static obs::Counter& simulations =
-      obs::Registry::global().counter("sim.simulations");
-  static obs::Counter& simulated_cycles =
-      obs::Registry::global().counter("sim.simulated_cycles");
-  // Energy-model event counters, exported once per run (coarse adds, same
-  // no-hot-loop rule as above) so the JSON snapshot carries everything
-  // adse::power prices.
-  static obs::Counter& regfile_reads =
-      obs::Registry::global().counter("sim.regfile_reads");
-  static obs::Counter& regfile_writes =
-      obs::Registry::global().counter("sim.regfile_writes");
-  static obs::Counter& sve_lane_ops =
-      obs::Registry::global().counter("sim.sve_lane_ops");
-  static obs::Counter& l1_reads =
-      obs::Registry::global().counter("sim.l1_reads");
-  static obs::Counter& l1_writes =
-      obs::Registry::global().counter("sim.l1_writes");
-  static obs::Counter& l2_reads =
-      obs::Registry::global().counter("sim.l2_reads");
-  static obs::Counter& l2_writes =
-      obs::Registry::global().counter("sim.l2_writes");
-  simulations.add(1);
-  simulated_cycles.add(result.core.cycles);
-  std::uint64_t rf_reads = 0, rf_writes = 0;
-  for (int c = 0; c < isa::kNumRegClasses; ++c) {
-    rf_reads += result.core.regfile_reads[c];
-    rf_writes += result.core.regfile_writes[c];
-  }
-  regfile_reads.add(rf_reads);
-  regfile_writes.add(rf_writes);
-  sve_lane_ops.add(result.core.sve_lane_ops);
-  l1_reads.add(result.mem.l1_reads);
-  l1_writes.add(result.mem.l1_writes);
-  l2_reads.add(result.mem.l2_reads);
-  l2_writes.add(result.mem.l2_writes);
-  return result;
+  const core::DecodedTrace decoded(program);
+  return std::move(
+      simulate_lanes({&config, 1}, program, decoded, {}, {}, nullptr)[0]);
 }
 
 RunResult simulate_app(const config::CpuConfig& config, kernels::App app) {

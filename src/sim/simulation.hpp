@@ -2,11 +2,13 @@
 /// \file simulation.hpp
 /// One-call façade over core + memory + workloads: the equivalent of "run
 /// SimEng with this YAML config and this binary, collect the statistics".
+/// A single simulation is a one-lane pass of the lane engine
+/// (sim/batch_sim.hpp), so it shares that path's validation, conservation
+/// checks and counters.
 
 #include <string>
 
 #include "config/cpu_config.hpp"
-#include "core/core.hpp"
 #include "core/core_stats.hpp"
 #include "isa/program.hpp"
 #include "kernels/workloads.hpp"

@@ -2,12 +2,14 @@
 
 #include <cmath>
 
+#include "analysis/calibrate.hpp"
 #include "analysis/speedup.hpp"
 #include "analysis/surrogate_eval.hpp"
 #include "analysis/validation.hpp"
 #include "analysis/vectorisation.hpp"
 #include "campaign/campaign.hpp"
 #include "config/param_space.hpp"
+#include "sim/hardware_proxy.hpp"
 #include "common/require.hpp"
 
 namespace adse::analysis {
@@ -194,6 +196,29 @@ TEST(Vectorisation, Fig1SeriesCoverAppsAndVls) {
   }
   const std::string out = render_fig1(series);
   EXPECT_NE(out.find("VL 2048"), std::string::npos);
+}
+
+// The fit `check_tool --calibrate` runs by default (4 design points,
+// 2 sweeps, seed 1). Against the Table-I proxy as black-box "silicon", it
+// must recover four constants exactly, and reach zero residual without
+// moving store->load forwarding latency off its idealised start: that
+// constant is unidentifiable from these kernels' end-to-end cycles.
+TEST(Calibration, RecoversFourProxyConstantsAndNotForwardLatency) {
+  CalibrationOptions options;
+  options.num_configs = 4;
+  options.sweeps = 2;
+  options.seed = 1;
+  const CalibrationReport report = calibrate(options);
+  const sim::ProxyOptions reference;
+  EXPECT_EQ(report.fitted.dram_latency_scale, reference.dram_latency_scale);
+  EXPECT_EQ(report.fitted.dram_interval_scale, reference.dram_interval_scale);
+  EXPECT_EQ(report.fitted.prefetch_boost_l2, reference.prefetch_boost_l2);
+  EXPECT_EQ(report.fitted.mispredict_penalty, reference.mispredict_penalty);
+  EXPECT_EQ(report.fitted.forward_latency, CalibrationConstants{}.forward_latency);
+  EXPECT_NE(report.fitted.forward_latency, reference.forward_latency);
+  EXPECT_EQ(report.fitted_divergence, 0.0);
+  EXPECT_GT(report.initial_divergence, 0.2);
+  EXPECT_EQ(report.pairs, 16);
 }
 
 }  // namespace

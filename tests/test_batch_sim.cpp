@@ -1,9 +1,11 @@
 /// \file test_batch_sim.cpp
-/// The batched engine's contract: sim::simulate_batch is bit-identical to
-/// per-config sim::simulate — every CoreStats and MemStats field, not just
-/// cycles — across fuzzed configurations, lane counts, and check modes. Plus
-/// the batch-only semantics: mixed-VL batches are rejected, early-finishing
-/// lanes retire and compact, and the engine is single-use.
+/// Lane independence: a config run as one lane of a K-lane
+/// sim::simulate_batch is bit-identical to the same config run alone
+/// (sim::simulate, a one-lane pass) — every CoreStats and MemStats field,
+/// not just cycles — across fuzzed configurations, lane counts, and check
+/// modes, whatever interleaving the windowed scheduler picks. Plus the
+/// batch-only semantics: mixed-VL batches are rejected, early-finishing lanes
+/// retire and compact, and the engine is single-use.
 
 #include <gtest/gtest.h>
 
@@ -31,10 +33,10 @@ config::CpuConfig sampled_config(std::uint64_t seed, int vl) {
 }
 
 #define EXPECT_FIELD_EQ(field) \
-  EXPECT_EQ(batched.field, scalar.field) << "lane " << lane << " diverges"
+  EXPECT_EQ(batched.field, alone.field) << "lane " << lane << " diverges"
 
 void expect_core_identical(const core::CoreStats& batched,
-                           const core::CoreStats& scalar, std::size_t lane) {
+                           const core::CoreStats& alone, std::size_t lane) {
   EXPECT_FIELD_EQ(cycles);
   EXPECT_FIELD_EQ(retired);
   EXPECT_FIELD_EQ(retired_sve);
@@ -65,7 +67,7 @@ void expect_core_identical(const core::CoreStats& batched,
 }
 
 void expect_mem_identical(const mem::MemStats& batched,
-                          const mem::MemStats& scalar, std::size_t lane) {
+                          const mem::MemStats& alone, std::size_t lane) {
   EXPECT_FIELD_EQ(loads);
   EXPECT_FIELD_EQ(stores);
   EXPECT_FIELD_EQ(line_requests);
@@ -86,15 +88,15 @@ void expect_mem_identical(const mem::MemStats& batched,
 
 #undef EXPECT_FIELD_EQ
 
-void expect_batch_matches_scalar(std::span<const config::CpuConfig> configs,
+void expect_lanes_match_single_runs(std::span<const config::CpuConfig> configs,
                                  const isa::Program& trace) {
   const std::vector<sim::RunResult> batched =
       sim::simulate_batch(configs, trace);
   ASSERT_EQ(batched.size(), configs.size());
   for (std::size_t lane = 0; lane < configs.size(); ++lane) {
-    const sim::RunResult scalar_run = sim::simulate(configs[lane], trace);
-    expect_core_identical(batched[lane].core, scalar_run.core, lane);
-    expect_mem_identical(batched[lane].mem, scalar_run.mem, lane);
+    const sim::RunResult alone_run = sim::simulate(configs[lane], trace);
+    expect_core_identical(batched[lane].core, alone_run.core, lane);
+    expect_mem_identical(batched[lane].mem, alone_run.mem, lane);
     EXPECT_EQ(batched[lane].config_name, configs[lane].name);
     EXPECT_EQ(batched[lane].app, trace.name);
   }
@@ -111,7 +113,7 @@ TEST(BatchSim, BitIdenticalToScalarAcrossFuzzedConfigs) {
     if (vl == 128) configs.push_back(config::thunderx2_baseline());
     for (const auto app : {kernels::App::kStream, kernels::App::kMiniSweep}) {
       const isa::Program trace = kernels::build_app(app, vl);
-      expect_batch_matches_scalar(configs, trace);
+      expect_lanes_match_single_runs(configs, trace);
     }
   }
 }
@@ -120,7 +122,7 @@ TEST(BatchSim, SingleLaneBatchMatchesScalar) {
   const std::vector<config::CpuConfig> configs{config::thunderx2_baseline()};
   const isa::Program trace = kernels::build_app(
       kernels::App::kTeaLeaf, configs[0].core.vector_length_bits);
-  expect_batch_matches_scalar(configs, trace);
+  expect_lanes_match_single_runs(configs, trace);
 }
 
 TEST(BatchSim, MixedVectorLengthBatchRejects) {
@@ -161,8 +163,8 @@ TEST(BatchSim, EarlyLaneRetirementCompactsTheBatch) {
     EXPECT_LT(info.mean_active_lanes(), static_cast<double>(configs.size()));
   }
   for (std::size_t lane = 0; lane < configs.size(); ++lane) {
-    const sim::RunResult scalar_run = sim::simulate(configs[lane], trace);
-    expect_core_identical(batched[lane].core, scalar_run.core, lane);
+    const sim::RunResult alone_run = sim::simulate(configs[lane], trace);
+    expect_core_identical(batched[lane].core, alone_run.core, lane);
   }
 }
 
@@ -189,8 +191,9 @@ TEST(BatchSim, EngineIsSingleUse) {
   mem::MemoryHierarchy hierarchy(configs[0].mem, config::kCoreClockGhz);
   mem::MemoryHierarchy* ptr = &hierarchy;
   core::BatchedCore engine(configs, {&ptr, 1});
-  engine.run(trace);
-  EXPECT_THROW(engine.run(trace), InvariantError);
+  const core::DecodedTrace decoded(trace);
+  engine.run(decoded);
+  EXPECT_THROW(engine.run(decoded), InvariantError);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-#include "core/core.hpp"
-
 #include <gtest/gtest.h>
+
+#include "core/batched_core.hpp"
 
 #include "common/require.hpp"
 #include "config/baselines.hpp"
@@ -16,11 +16,13 @@ using kernels::KernelBuilder;
 using kernels::pred;
 using isa::InstrGroup;
 
+/// One simulation: a one-lane pass of the engine.
 CoreStats run(const config::CpuConfig& cfg, const isa::Program& program,
               const CoreFidelity& fidelity = {}) {
   mem::MemoryHierarchy hierarchy(cfg.mem, config::kCoreClockGhz);
-  Core core(cfg, hierarchy, fidelity);
-  return core.run(program);
+  mem::MemoryHierarchy* lane_hierarchy = &hierarchy;
+  BatchedCore core({&cfg, 1}, {&lane_hierarchy, 1}, fidelity);
+  return core.run(DecodedTrace(program))[0];
 }
 
 /// A wide-open configuration where only the aspect under test binds.
@@ -69,9 +71,7 @@ TEST(Core, RetiresEveryOp) {
 TEST(Core, EmptyProgramThrows) {
   isa::Program empty;
   empty.name = "empty";
-  mem::MemoryHierarchy hierarchy(roomy().mem, config::kCoreClockGhz);
-  Core core(roomy(), hierarchy);
-  EXPECT_THROW(core.run(empty), InvariantError);
+  EXPECT_THROW(run(roomy(), empty), InvariantError);
 }
 
 TEST(Core, IndependentIntsSaturateDispatch) {

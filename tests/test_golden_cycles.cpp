@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -130,23 +129,46 @@ config::CpuConfig golden_config(std::size_t row) {
 
 class GoldenCycles : public ::testing::TestWithParam<std::size_t> {};
 
+// Each pin is checked twice: as a single simulation (sim::simulate, a
+// one-lane engine pass) and as one lane of a multi-lane sim::simulate_batch
+// whose other lanes are the remaining golden configs moved to this row's
+// vector length (a batch shares one trace), where that move leaves them
+// valid. The windowed lane scheduler interleaves lanes of different speeds
+// and retires them early, and must not move a single counter of any lane.
 TEST_P(GoldenCycles, BitIdenticalToSeedModel) {
   const std::size_t row = GetParam();
   const config::CpuConfig cfg = golden_config(row);
+  const int vl = cfg.core.vector_length_bits;
+  std::vector<config::CpuConfig> batch;
+  std::size_t lane_of_row = 0;
+  for (std::size_t other = 0; other < std::size(kGolden); ++other) {
+    config::CpuConfig lane = golden_config(other);
+    lane.core.vector_length_bits = vl;
+    if (other == row) lane_of_row = batch.size();
+    if (other == row || config::is_valid(lane)) batch.push_back(lane);
+  }
+  ASSERT_GE(batch.size(), 3u) << "too few lanes beside " << cfg.name;
   for (kernels::App app : kernels::all_apps()) {
-    const isa::Program program =
-        kernels::build_app(app, cfg.core.vector_length_bits);
-    const sim::RunResult result = sim::simulate(cfg, program);
-    expect_pin(result, kGolden[row].runs[static_cast<std::size_t>(app)],
-               pair_name(kGolden[row].config, app));
+    const Pin& pin = kGolden[row].runs[static_cast<std::size_t>(app)];
+    const std::string what = pair_name(kGolden[row].config, app);
+    const isa::Program program = kernels::build_app(app, vl);
 
+    const sim::RunResult result = sim::simulate(cfg, program);
+    expect_pin(result, pin, what);
     // The event-skip accounting must decompose the run exactly: every cycle
     // was either entered by the main loop or skipped by the event wheel.
     EXPECT_EQ(result.core.cycles_entered + result.core.cycles_skipped,
               result.core.cycles)
-        << "config '" << kGolden[row].config << "' app "
-        << kernels::app_name(app);
-    EXPECT_EQ(result.core.retired, program.ops.size());
+        << what;
+    EXPECT_EQ(result.core.retired, program.ops.size()) << what;
+
+    const std::vector<sim::RunResult> lanes =
+        sim::simulate_batch(batch, program);
+    ASSERT_EQ(lanes.size(), batch.size());
+    expect_pin(lanes[lane_of_row], pin,
+               what + " (lane " + std::to_string(lane_of_row) + " of " +
+                   std::to_string(batch.size()) + ", VL " +
+                   std::to_string(vl) + ")");
   }
 }
 
@@ -155,35 +177,6 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, GoldenCycles,
                          [](const auto& info) {
                            return std::string(kGolden[info.param].config);
                          });
-
-// The batched engine (sim::simulate_batch) must hit the same pinned counts
-// through its SoA/windowed-scheduling path: group the golden configs by
-// vector length (a batch shares one trace) and run each group as one batch
-// per app. Every one of the 36 pairs is asserted — the batched engine is a
-// throughput optimisation and must not move a single cycle either.
-TEST(GoldenCycles, BatchedPathBitIdentical) {
-  std::map<int, std::vector<std::size_t>> rows_by_vl;
-  for (std::size_t row = 0; row < std::size(kGolden); ++row) {
-    rows_by_vl[golden_config(row).core.vector_length_bits].push_back(row);
-  }
-  for (kernels::App app : kernels::all_apps()) {
-    for (const auto& [vl, rows] : rows_by_vl) {
-      const isa::Program program = kernels::build_app(app, vl);
-      std::vector<config::CpuConfig> configs;
-      configs.reserve(rows.size());
-      for (std::size_t row : rows) configs.push_back(golden_config(row));
-      const auto results = sim::simulate_batch(configs, program);
-      ASSERT_EQ(results.size(), rows.size());
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        expect_pin(results[i],
-                   kGolden[rows[i]].runs[static_cast<std::size_t>(app)],
-                   pair_name(kGolden[rows[i]].config, app) +
-                       " (batched lane " + std::to_string(i) + ", VL " +
-                       std::to_string(vl) + ")");
-      }
-    }
-  }
-}
 
 // The hardware proxy runs the same core with fidelity effects enabled; its
 // scheduling must be equally unaffected. Pin the baseline proxy cycles that

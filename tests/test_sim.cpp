@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/require.hpp"
 #include "config/baselines.hpp"
+#include "obs/metrics.hpp"
 #include "sim/hardware_proxy.hpp"
 
 namespace adse::sim {
@@ -67,6 +69,34 @@ TEST(Simulation, MemStatsArePopulated) {
   EXPECT_GT(result.mem.stores, 0u);
   EXPECT_GT(result.mem.ram_requests, 0u);
   EXPECT_GT(result.mem.l1_hit_rate(), 0.5);
+}
+
+TEST(Simulation, SingleRunCountsOneSimulationAndNoBatch) {
+  // A single run is a one-lane engine pass: it exports the per-run sim.*
+  // counters but is not a batch.
+  obs::Counter& simulations =
+      obs::Registry::global().counter("sim.simulations");
+  obs::Counter& batch_runs = obs::Registry::global().counter("sim.batch_runs");
+  const std::uint64_t sims_before = simulations.value();
+  const std::uint64_t batches_before = batch_runs.value();
+  simulate_app(config::thunderx2_baseline(), kernels::App::kMiniBude);
+  EXPECT_EQ(simulations.value() - sims_before, 1u);
+  EXPECT_EQ(batch_runs.value(), batches_before);
+}
+
+TEST(HardwareProxy, ConservationLawsHoldUnderChecks) {
+  // The proxy runs through the same checked path as the campaign simulator:
+  // with CheckContext on, the per-cycle invariants and the hierarchy/LSQ
+  // conservation laws must hold, and checking must not move a counter.
+  const config::CpuConfig tx2 = config::thunderx2_baseline();
+  for (kernels::App app : kernels::all_apps()) {
+    const RunResult plain = simulate_hardware_app(tx2, app);
+    ScopedCheck check(true);
+    const RunResult checked = simulate_hardware_app(tx2, app);
+    EXPECT_EQ(checked.cycles(), plain.cycles()) << kernels::app_name(app);
+    EXPECT_EQ(checked.mem.line_requests, plain.mem.line_requests)
+        << kernels::app_name(app);
+  }
 }
 
 TEST(HardwareProxy, DiffersFromCampaignSimulator) {
