@@ -71,6 +71,11 @@ struct InvalidCase {
   void (*mutate)(CpuConfig&);
 };
 
+// Print the label, not gtest's default byte dump: the dump holds the two
+// pointers, so the listed test names (and the ctest names discovered from
+// them) would change with every process's load address.
+void PrintTo(const InvalidCase& c, std::ostream* os) { *os << c.label; }
+
 class ValidateRejects : public ::testing::TestWithParam<InvalidCase> {};
 
 TEST_P(ValidateRejects, OutOfRangeField) {

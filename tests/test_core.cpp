@@ -358,6 +358,10 @@ struct MonotonicCase {
   void (*shrink)(config::CpuConfig&);
 };
 
+// Print the label so the listed test names do not hold load addresses (see
+// PrintTo for InvalidCase in test_config.cpp).
+void PrintTo(const MonotonicCase& c, std::ostream* os) { *os << c.label; }
+
 class ResourceMonotonic : public ::testing::TestWithParam<MonotonicCase> {};
 
 TEST_P(ResourceMonotonic, MoreResourceNeverSlower) {
