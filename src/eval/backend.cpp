@@ -86,16 +86,16 @@ sim::RunResult SurrogateForestBackend::run(const config::CpuConfig& config,
   double predicted = forests_[static_cast<std::size_t>(app)].predict(
       {features.begin(), features.end()});
   if (log_space_) predicted = std::exp(predicted);
+  return surrogate_result(config, app, predicted);
+}
+
+sim::RunResult surrogate_result(const config::CpuConfig& config,
+                                kernels::App app, double predicted_cycles) {
   sim::RunResult result;
   result.app = kernels::app_slug(app);
   result.config_name = config.name;
-  // Only the cycle estimate is meaningful for a surrogate query; at least
-  // one cycle so downstream geomean/log objectives stay well-defined.
-  result.core.cycles =
-      static_cast<std::uint64_t>(std::llround(std::max(predicted, 1.0)));
-  // Area and leakage are pure functions of the config, so the analytical
-  // model applies exactly even to a surrogate query; dynamic energy needs
-  // event counts the surrogate does not predict and stays zero.
+  result.core.cycles = static_cast<std::uint64_t>(
+      std::llround(std::max(predicted_cycles, 1.0)));
   result.power = power::analyze(config, result.core, result.mem);
   return result;
 }

@@ -96,6 +96,12 @@ class HardwareProxyBackend final : public Backend {
   std::string key_;
 };
 
+/// A surrogate's answer: `predicted_cycles` rounded to at least one cycle,
+/// with the config's exact area and leakage (dynamic energy needs event
+/// counts a surrogate does not predict, and stays zero).
+sim::RunResult surrogate_result(const config::CpuConfig& config,
+                                kernels::App app, double predicted_cycles);
+
 /// A per-app forest surrogate serving cycle predictions instead of
 /// simulations. Cheap enough to screen thousands of candidates per round;
 /// never persisted (predictions change whenever the model is retrained).

@@ -1,14 +1,13 @@
 #include "eval/fused.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 
 #include "common/env.hpp"
-#include "common/require.hpp"
 #include "common/rng.hpp"
-#include "power/power_model.hpp"
 
 namespace adse::eval {
 
@@ -36,6 +35,8 @@ std::uint64_t observation_hash(kernels::App app,
   return hash;
 }
 
+std::atomic<std::uint64_t> next_model_id{0};
+
 }  // namespace
 
 FusedOptions fused_options_from_env() {
@@ -50,7 +51,8 @@ FusedOptions fused_options_from_env() {
   return options;
 }
 
-FusedModel::FusedModel(FusedOptions options) : options_(options) {
+FusedModel::FusedModel(FusedOptions options)
+    : options_(options), id_(next_model_id.fetch_add(1)) {
   for (AppModel& model : models_) {
     model.data.feature_names = residual_feature_names();
   }
@@ -63,7 +65,7 @@ void FusedModel::set_threshold(double threshold) {
 
 std::vector<std::string> FusedModel::residual_feature_names() {
   std::vector<std::string> names;
-  for (int p = 0; p < config::kNumParams; ++p) {
+  for (std::size_t p = 0; p < config::kNumParams; ++p) {
     names.push_back(config::param_name(static_cast<config::ParamId>(p)));
   }
   const auto& analytical = analysis::AnalyticalFeatures::ml_feature_names();
@@ -140,8 +142,9 @@ bool FusedModel::observe(kernels::App app, const config::CpuConfig& config,
     }
     train = &subsample;
   }
-  model.forest = ml::RandomForestRegressor(forest_options);
-  model.forest.fit(*train);
+  auto forest = std::make_shared<ml::RandomForestRegressor>(forest_options);
+  forest->fit(*train);
+  model.forest = std::move(forest);
   model.fitted_rows = rows;
   refits_++;
   return true;
@@ -152,15 +155,20 @@ FusedPrediction FusedModel::predict(kernels::App app,
   const analysis::TraceSummary& digest =
       summary(app, config.core.vector_length_bits);
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  const AppModel& model = models_[static_cast<std::size_t>(app)];
+  // Only the snapshot copy is locked: the forest is immutable, and a refit
+  // swaps in a new one rather than changing this one.
+  std::shared_ptr<const ml::RandomForestRegressor> forest;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    forest = models_[static_cast<std::size_t>(app)].forest;
+  }
   const analysis::AnalyticalFeatures features =
       analysis::analyze(digest, config);
   FusedPrediction prediction;
   prediction.analytical_min = static_cast<double>(features.min_cycles);
-  if (model.fitted_rows == 0) return prediction;
+  if (forest == nullptr) return prediction;
   const ml::PredictionDistribution dist =
-      model.forest.predict_dist(residual_row(config, features));
+      forest->predict_dist(residual_row(config, features));
   prediction.cycles = prediction.analytical_min * std::exp(dist.mean);
   prediction.spread = dist.std;
   prediction.ready = true;
@@ -182,33 +190,6 @@ bool FusedModel::take_probe_tick() {
   if (options_.probe_every <= 0) return false;
   probe_tick_++;
   return probe_tick_ % static_cast<std::uint64_t>(options_.probe_every) == 0;
-}
-
-const std::string& FusedBackend::key() const {
-  static const std::string k = "fused";
-  return k;
-}
-
-sim::RunResult FusedBackend::run(const config::CpuConfig& config,
-                                 kernels::App app,
-                                 const isa::Program& /*trace*/) const {
-  const FusedPrediction prediction = model_.predict(app, config);
-  ADSE_REQUIRE_MSG(prediction.ready,
-                   "FusedBackend asked to serve app "
-                       << kernels::app_slug(app)
-                       << " before its residual model is fitted");
-  sim::RunResult result;
-  result.app = kernels::app_slug(app);
-  result.config_name = config.name;
-  // Only the cycle estimate is meaningful for a surrogate query; at least
-  // one cycle so downstream geomean/log objectives stay well-defined.
-  result.core.cycles = static_cast<std::uint64_t>(
-      std::llround(std::max(prediction.cycles, 1.0)));
-  // Area and leakage are pure functions of the config, so the analytical
-  // model applies exactly even to a surrogate query; dynamic energy needs
-  // event counts the surrogate does not predict and stays zero.
-  result.power = power::analyze(config, result.core, result.mem);
-  return result;
 }
 
 }  // namespace adse::eval

@@ -15,10 +15,13 @@
 /// The ensemble's predictive spread doubles as the routing signal: below
 /// `FusedOptions::threshold` the model answers; above it the candidate falls
 /// through to the real (batched) simulator — see
-/// `EvalService::evaluate_routed`. A `FusedBackend` adapter lets the
-/// predictions ride the normal memo path (`needs_trace() == false`,
-/// `persistable() == false` — predictions change on every refit and must
-/// never reach the on-disk result store).
+/// `EvalService::evaluate_routed`, which predicts each request once, in
+/// parallel on its pool, and serves that gated prediction as the answer.
+/// Predictions take no lock while they compute: each app's fitted forest is
+/// an immutable snapshot that a refit swaps out whole. Surrogate answers are
+/// memoised under a tag that carries the model's `id()`, so two models never
+/// serve each other's predictions, and are never persisted — predictions
+/// change on every refit and must never reach the on-disk result store.
 
 #include <array>
 #include <cstdint>
@@ -31,7 +34,6 @@
 
 #include "analysis/analytical_features.hpp"
 #include "config/cpu_config.hpp"
-#include "eval/backend.hpp"
 #include "kernels/workloads.hpp"
 #include "ml/dataset.hpp"
 #include "ml/forest.hpp"
@@ -83,6 +85,10 @@ class FusedModel {
 
   const FusedOptions& options() const { return options_; }
 
+  /// Process-unique identity of this model, mixed into the memo tag of its
+  /// surrogate answers.
+  std::uint64_t id() const { return id_; }
+
   /// Re-gates future routing decisions (tests calibrate the threshold
   /// against measured spreads; campaigns sweep it).
   void set_threshold(double threshold);
@@ -93,6 +99,8 @@ class FusedModel {
   bool observe(kernels::App app, const config::CpuConfig& config,
                double cycles);
 
+  /// Safe to call concurrently with itself and with observe(): the lock
+  /// covers only the copy of the app's forest snapshot.
   FusedPrediction predict(kernels::App app,
                           const config::CpuConfig& config) const;
 
@@ -119,12 +127,14 @@ class FusedModel {
  private:
   struct AppModel {
     ml::Dataset data;
-    ml::RandomForestRegressor forest;
+    /// Null until the first fit; each refit replaces it with a new forest.
+    std::shared_ptr<const ml::RandomForestRegressor> forest;
     std::size_t fitted_rows = 0;
     std::unordered_set<std::uint64_t> seen;  ///< observation dedup hashes
   };
 
   FusedOptions options_;
+  std::uint64_t id_;
   mutable std::mutex mutex_;
   mutable std::map<std::pair<int, int>,
                    std::unique_ptr<const analysis::TraceSummary>>
@@ -132,22 +142,6 @@ class FusedModel {
   std::array<AppModel, kernels::kNumApps> models_;
   std::uint64_t refits_ = 0;
   std::uint64_t probe_tick_ = 0;
-};
-
-/// Backend adapter: serves FusedModel predictions through the normal memo
-/// path. Only routed-eligible (model-ready) requests may reach it.
-class FusedBackend final : public Backend {
- public:
-  explicit FusedBackend(const FusedModel& model) : model_(model) {}
-
-  const std::string& key() const override;
-  bool persistable() const override { return false; }
-  bool needs_trace() const override { return false; }
-  sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program& trace) const override;
-
- private:
-  const FusedModel& model_;
 };
 
 }  // namespace adse::eval

@@ -21,6 +21,22 @@ const isa::Program& empty_program() {
   return program;
 }
 
+/// Runs `request` on `backend`, with the app's trace when it needs one.
+sim::RunResult run_backend(const Backend& backend, const EvalRequest& request,
+                           TraceCache& traces) {
+  const isa::Program& trace =
+      backend.needs_trace()
+          ? traces.get(request.app, request.config.core.vector_length_bits)
+          : empty_program();
+  return backend.run(request.config, request.app, trace);
+}
+
+/// The memo tag of a fused model's surrogate answers: one per model, so a
+/// second model on the same service never inherits the first's predictions.
+std::uint64_t fused_tag(const FusedModel& model) {
+  return ResultStore::tag("fused/" + std::to_string(model.id()));
+}
+
 }  // namespace
 
 const char* status_name(EvalStatus status) {
@@ -160,9 +176,8 @@ EvalService::EvalService(ServiceConfig config)
 EvalService::~EvalService() = default;
 
 EvalService::MemoKey EvalService::make_key(const EvalRequest& request,
-                                           const Backend& backend) const {
-  return MemoKey{ResultStore::tag(backend.key()),
-                 static_cast<std::int32_t>(request.app),
+                                           std::uint64_t tag) const {
+  return MemoKey{tag, static_cast<std::int32_t>(request.app),
                  config::feature_vector(request.config)};
 }
 
@@ -179,18 +194,27 @@ void EvalService::fill_from_slot(const EvalRequest& request, const Slot& slot,
   out.run.power = slot.power;
 }
 
-void EvalService::run_claimed(const EvalRequest& request,
-                              const Backend& backend, const MemoKey& key,
-                              Shard& shard, Slot& slot) {
+EvalResponse EvalService::join(const EvalRequest& request, const MemoKey& key,
+                               bool persist,
+                               const std::function<sim::RunResult()>& run) {
+  Shard& shard = shard_for(key);
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  Slot& slot = shard.map[key];
+  EvalResponse out;
+  shard.cv.wait(lock, [&] { return slot.state != Slot::State::kRunning; });
+  if (slot.state == Slot::State::kDone) {
+    // An identical concurrent request ran the backend while we waited.
+    inflight_joins_->add(1);
+    fill_from_slot(request, slot, ResultSource::kInflight, out);
+    return out;
+  }
+  slot.state = Slot::State::kRunning;
+  lock.unlock();
   try {
     // Coarse per-simulation span: one event per fresh backend run keeps a
     // 180k-config trace readable and the disabled-tracer cost to a branch.
     obs::Span span("eval.backend_run", "eval");
-    const isa::Program& trace =
-        backend.needs_trace()
-            ? traces_.get(request.app, request.config.core.vector_length_bits)
-            : empty_program();
-    const sim::RunResult fresh = backend.run(request.config, request.app, trace);
+    const sim::RunResult fresh = run();
     slot.core = fresh.core;
     slot.mem = fresh.mem;
     slot.power = fresh.power;
@@ -198,31 +222,30 @@ void EvalService::run_claimed(const EvalRequest& request,
     // Leave no memo entry: revert the claim and wake waiters so one of them
     // re-claims (and deterministically re-fails, if the failure is the
     // model's).
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      slot.state = Slot::State::kEmpty;
-    }
+    lock.lock();
+    slot.state = Slot::State::kEmpty;
+    lock.unlock();
     shard.cv.notify_all();
     throw;
   }
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    slot.state = Slot::State::kDone;
-    slot.done.store(true, std::memory_order_release);
-  }
+  lock.lock();
+  slot.state = Slot::State::kDone;
+  slot.done.store(true, std::memory_order_release);
+  lock.unlock();
   shard.cv.notify_all();
   backend_runs_->add(1);
-  if (store_ != nullptr && backend.persistable()) {
+  if (store_ != nullptr && persist) {
     store_->append(
         {key.tag, key.app, key.features, slot.core, slot.mem, slot.power});
   }
+  fill_from_slot(request, slot, ResultSource::kBackend, out);
+  return out;
 }
 
-EvalResponse EvalService::evaluate_one(const EvalRequest& request,
-                                       const Backend* backend) {
-  const Backend& chosen = backend != nullptr ? *backend : simulator_;
-  const MemoKey key = make_key(request, chosen);
-
+template <typename Run>
+EvalResponse EvalService::serve_one(const EvalRequest& request,
+                                    const MemoKey& key, bool persist,
+                                    const Run& run) {
   Shard& shard = shard_for(key);
   Slot* slot;
   {
@@ -230,33 +253,25 @@ EvalResponse EvalService::evaluate_one(const EvalRequest& request,
     slot = &shard.map[key];
   }
   requests_->add(1);
-
+  // One named result on every path keeps the hit path free of a copy.
   EvalResponse out;
   if (slot->done.load(std::memory_order_acquire)) {
     const ResultSource source =
         slot->from_store ? ResultSource::kStore : ResultSource::kMemo;
     (slot->from_store ? store_hits_ : memo_hits_)->add(1);
     fill_from_slot(request, *slot, source, out);
-    return out;
+  } else {
+    out = join(request, key, persist, run);
   }
+  return out;
+}
 
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  while (true) {
-    if (slot->state == Slot::State::kDone) {
-      // An identical concurrent request ran the backend while we waited.
-      inflight_joins_->add(1);
-      fill_from_slot(request, *slot, ResultSource::kInflight, out);
-      return out;
-    }
-    if (slot->state == Slot::State::kEmpty) {
-      slot->state = Slot::State::kRunning;
-      lock.unlock();
-      run_claimed(request, chosen, key, shard, *slot);
-      fill_from_slot(request, *slot, ResultSource::kBackend, out);
-      return out;
-    }
-    shard.cv.wait(lock);
-  }
+EvalResponse EvalService::evaluate_one(const EvalRequest& request,
+                                       const Backend* backend) {
+  const Backend& chosen = backend != nullptr ? *backend : simulator_;
+  return serve_one(request, make_key(request, ResultStore::tag(chosen.key())),
+                   chosen.persistable(),
+                   [&] { return run_backend(chosen, request, traces_); });
 }
 
 EvalResponse EvalService::evaluate_checked(const EvalRequest& request,
@@ -315,7 +330,7 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
   if (requests.empty()) return out;
   obs::Span span("eval.routed_batch", "eval");
   span.set_detail(std::to_string(requests.size()) + " requests");
-  FusedBackend fused(model);
+  const std::uint64_t surrogate_tag = fused_tag(model);
   std::size_t completed = 0;
   const auto note_round = [&](std::size_t done_in_round) {
     completed += done_in_round;
@@ -329,24 +344,26 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
     const std::span<const EvalRequest> window =
         requests.subspan(start, std::min(round, requests.size() - start));
 
-    // Gate each candidate with the model as of the previous round. A
-    // request whose allow_surrogate flag is off never enters the gate. A
-    // probe is a surrogate-eligible candidate the probe clock diverts to
-    // the simulator anyway — its prediction is remembered so truth can
-    // price it.
+    // Gate each candidate with the model as of the previous round: predict
+    // on the pool (requests with allow_surrogate off stay not-ready), then
+    // apply the threshold and the probe clock in request order, so routing
+    // does not depend on the thread count. A probe is a surrogate-eligible
+    // candidate the probe clock diverts to the simulator anyway — its
+    // prediction is remembered so truth can price it.
+    std::vector<FusedPrediction> predictions(window.size());
+    pool_.parallel_for(window.size(), [&](std::size_t i) {
+      if (window[i].allow_surrogate) {
+        predictions[i] = model.predict(window[i].app, window[i].config);
+      }
+    });
     std::vector<std::size_t> sim_members;     // window-relative indices
     std::vector<std::size_t> fused_members;
     std::vector<std::pair<std::size_t, double>> probes;  // (member, predicted)
     for (std::size_t i = 0; i < window.size(); ++i) {
-      bool eligible = window[i].allow_surrogate;
-      FusedPrediction prediction;
-      if (eligible) {
-        prediction = model.predict(window[i].app, window[i].config);
-        eligible = prediction.ready &&
-                   prediction.spread < model.options().threshold;
-      }
+      const bool eligible = predictions[i].ready &&
+                            predictions[i].spread < model.options().threshold;
       if (eligible && model.take_probe_tick()) {
-        probes.emplace_back(sim_members.size(), prediction.cycles);
+        probes.emplace_back(sim_members.size(), predictions[i].cycles);
         sim_members.push_back(i);
       } else if (eligible) {
         fused_members.push_back(i);
@@ -363,11 +380,13 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
     const std::vector<EvalResponse> sim_results =
         evaluate_plain(sim_requests, &sim, {});
     routed_sim_->add(sim_results.size());
+    std::array<bool, kernels::kNumApps> refit{};
     for (std::size_t m = 0; m < sim_members.size(); ++m) {
+      const EvalRequest& request = window[sim_members[m]];
       out[start + sim_members[m]] = sim_results[m];
-      if (model.observe(window[sim_members[m]].app,
-                        window[sim_members[m]].config,
+      if (model.observe(request.app, request.config,
                         static_cast<double>(sim_results[m].cycles()))) {
+        refit[static_cast<std::size_t>(request.app)] = true;
         residual_refits_->add(1);
       }
     }
@@ -380,19 +399,22 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
       }
     }
 
-    // Surrogate side: served through the memo like any backend (and never
-    // persisted — FusedBackend::persistable() is false).
-    std::vector<EvalRequest> fused_requests;
-    fused_requests.reserve(fused_members.size());
-    for (const std::size_t i : fused_members) {
-      fused_requests.push_back(window[i]);
-    }
-    const std::vector<EvalResponse> fused_results =
-        evaluate_plain(fused_requests, &fused, {});
-    routed_surrogate_->add(fused_results.size());
-    for (std::size_t m = 0; m < fused_members.size(); ++m) {
-      out[start + fused_members[m]] = fused_results[m];
-    }
+    // Surrogate side: answers are the gated predictions (re-predicted from
+    // the new snapshot for an app that refit above), memoised under this
+    // model's tag and never persisted.
+    pool_.parallel_for(fused_members.size(), [&](std::size_t m) {
+      const std::size_t i = fused_members[m];
+      const EvalRequest& request = window[i];
+      out[start + i] = serve_one(
+          request, make_key(request, surrogate_tag), false, [&] {
+            const double cycles =
+                refit[static_cast<std::size_t>(request.app)]
+                    ? model.predict(request.app, request.config).cycles
+                    : predictions[i].cycles;
+            return surrogate_result(request.config, request.app, cycles);
+          });
+    });
+    routed_surrogate_->add(fused_members.size());
     note_round(window.size());
   }
   return out;
@@ -417,8 +439,9 @@ std::vector<EvalResponse> EvalService::evaluate_batched(
   };
   std::vector<Claimed> claimed;
   std::vector<std::pair<std::size_t, MemoKey>> waiting;
+  const std::uint64_t tag = ResultStore::tag(backend.key());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const MemoKey key = make_key(requests[i], backend);
+    const MemoKey key = make_key(requests[i], tag);
     Shard& shard = shard_for(key);
     requests_->add(1);
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -523,26 +546,9 @@ std::vector<EvalResponse> EvalService::evaluate_batched(
   // Join phase: wait for slots someone else is running. If a claim was
   // reverted by a failure, take it over on this thread.
   for (const auto& [i, key] : waiting) {
-    Shard& shard = shard_for(key);
-    std::unique_lock<std::mutex> lock(shard.mutex);
-    Slot& slot = shard.map[key];
-    while (true) {
-      if (slot.state == Slot::State::kDone) {
-        inflight_joins_->add(1);
-        fill_from_slot(requests[i], slot, ResultSource::kInflight, out[i]);
-        note_done();
-        break;
-      }
-      if (slot.state == Slot::State::kEmpty) {
-        slot.state = Slot::State::kRunning;
-        lock.unlock();
-        run_claimed(requests[i], backend, key, shard, slot);
-        fill_from_slot(requests[i], slot, ResultSource::kBackend, out[i]);
-        note_done();
-        break;
-      }
-      shard.cv.wait(lock);
-    }
+    out[i] = join(requests[i], key, backend.persistable(),
+                  [&] { return run_backend(backend, requests[i], traces_); });
+    note_done();
   }
   return out;
 }

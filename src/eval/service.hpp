@@ -28,6 +28,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -72,10 +73,11 @@ class EvalService final : public Evaluator {
   /// threshold <= 0) every request runs on `policy.backend` (default: the
   /// cycle simulator) bit-identically; with a routing model set, requests
   /// whose `allow_surrogate` flag is on are gated per-round on the model's
-  /// predictive spread (DESIGN.md §14) — confident ones are answered by the
-  /// fused surrogate (memoised, never persisted), the rest (plus every
-  /// probe_every-th eligible candidate, re-simulated to price the error in
-  /// "eval.routing_error_pct") run for real and feed the model. Counters:
+  /// predictive spread (DESIGN.md §14) — confident ones are answered with
+  /// the gate's prediction (memoised per model, never persisted), the rest
+  /// (plus every probe_every-th eligible candidate, re-simulated to price
+  /// the error in "eval.routing_error_pct") run for real and feed the
+  /// model. Counters:
   /// "eval.routed_surrogate", "eval.routed_sim", "eval.fused_probes",
   /// "eval.residual_refits".
   std::vector<EvalResponse> evaluate(std::span<const EvalRequest> requests,
@@ -145,7 +147,7 @@ class EvalService final : public Evaluator {
 
  private:
   struct MemoKey {
-    std::uint64_t tag;  ///< backend identity (ResultStore::tag of key())
+    std::uint64_t tag;  ///< ResultStore::tag of a Backend::key() or a model
     std::int32_t app;
     std::array<double, config::kNumParams> features;
 
@@ -191,17 +193,26 @@ class EvalService final : public Evaluator {
 
   Shard& shard_for(const MemoKey& key);
 
-  MemoKey make_key(const EvalRequest& request, const Backend& backend) const;
+  MemoKey make_key(const EvalRequest& request, std::uint64_t tag) const;
 
   /// Serves `out` from a finished slot, attributing the hit. Caller ensures
   /// the slot is done (acquire-loaded or seen kDone under the shard lock).
   void fill_from_slot(const EvalRequest& request, const Slot& slot,
                       ResultSource source, EvalResponse& out);
 
-  /// Runs one claimed slot's backend evaluation inline on the calling
-  /// thread. The slot must be in kRunning owned by this caller.
-  void run_claimed(const EvalRequest& request, const Backend& backend,
-                   const MemoKey& key, Shard& shard, Slot& slot);
+  /// Resolves a request whose slot was not done when probed: joins a run
+  /// in flight (kInflight), or claims the slot and answers it with `run()`
+  /// on the calling thread (kBackend; persisted when `persist`). A failed
+  /// run reverts the claim, so it leaves no memo entry.
+  EvalResponse join(const EvalRequest& request, const MemoKey& key,
+                    bool persist, const std::function<sim::RunResult()>& run);
+
+  /// One request through the memo on the calling thread: a done slot is
+  /// served as a hit, anything else goes to join(). `run` is a callable
+  /// returning sim::RunResult.
+  template <typename Run>
+  EvalResponse serve_one(const EvalRequest& request, const MemoKey& key,
+                         bool persist, const Run& run);
 
   /// The plain (non-routed) batch path behind evaluate().
   std::vector<EvalResponse> evaluate_plain(std::span<const EvalRequest> requests,

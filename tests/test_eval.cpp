@@ -5,16 +5,19 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "config/baselines.hpp"
+#include "config/param_space.hpp"
 #include "eval/fused.hpp"
 #include "eval/result_store.hpp"
 #include "eval/trace_cache.hpp"
 #include "ml/forest.hpp"
+#include "power/power_model.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats_report.hpp"
 
@@ -237,32 +240,47 @@ void train_stream(FusedModel& model, int n, double (*residual)(int)) {
   }
 }
 
-TEST(EvalService, FusedBackendIsNotPersisted) {
+/// Fused options under which every allow_surrogate request of a ready app
+/// is answered by the model: no probe clock, and a threshold no spread
+/// reaches.
+FusedOptions answer_everything(int min_observations) {
+  FusedOptions options;
+  options.forest.num_trees = 3;
+  options.min_observations = min_observations;
+  options.probe_every = 0;
+  options.threshold = 1e9;
+  return options;
+}
+
+/// The cycles a surrogate answer carries for `prediction`.
+std::uint64_t served_cycles(const FusedPrediction& prediction) {
+  return static_cast<std::uint64_t>(
+      std::llround(std::max(prediction.cycles, 1.0)));
+}
+
+TEST(EvalService, RoutedSurrogateAnswersAreNotPersisted) {
   const auto dir = std::filesystem::temp_directory_path() / "adse_eval_fused";
   std::filesystem::remove_all(dir);
   const std::string store = (dir / "eval_store.bin").string();
 
-  FusedOptions options;
-  options.forest.num_trees = 3;
-  options.min_observations = 6;
-  FusedModel model(options);
+  FusedModel model(answer_everything(6));
   train_stream(model, 6,
                [](int i) { return 0.5 + 0.01 * static_cast<double>(i); });
   EXPECT_GE(model.refits(), 1u);
-  const FusedBackend fused(model);
-  EXPECT_FALSE(fused.persistable());
-  EXPECT_FALSE(fused.needs_trace());
+  EvalPolicy routed;
+  routed.fused = &model;
+  const std::vector<EvalRequest> request = {stream_request()};
 
   {
     EvalService service(hermetic(1, store));
-    const EvalResult predicted =
-        service.evaluate_one(stream_request(), &fused);
+    const EvalResult predicted = service.evaluate(request, routed)[0];
     EXPECT_GE(predicted.cycles(), 1u);
     EXPECT_EQ(predicted.source, ResultSource::kBackend);
+    EXPECT_EQ(service.metrics().counter("eval.routed_surrogate").value(), 1u);
     // Model output must never reach the on-disk store.
     EXPECT_EQ(service.stats().store_appended, 0u);
-    // But it is memoised like any other backend.
-    EXPECT_EQ(service.evaluate_one(stream_request(), &fused).source,
+    // But it is memoised like any backend's answer.
+    EXPECT_EQ(service.evaluate(request, routed)[0].source,
               ResultSource::kMemo);
     // A real simulator run of the very same point IS persisted — the store
     // now holds this (config, app) under the simulator's key only.
@@ -270,18 +288,44 @@ TEST(EvalService, FusedBackendIsNotPersisted) {
     EXPECT_EQ(service.stats().store_appended, 1u);
   }
 
-  // The warm store must not satisfy fused-backend keys: the same request
-  // through the fused backend runs the model afresh instead of aliasing the
-  // persisted simulator record.
+  // The warm store must not satisfy surrogate keys: the same routed request
+  // is answered by the model afresh instead of aliasing the persisted
+  // simulator record.
   EvalService warm(hermetic(1, store));
   EXPECT_EQ(warm.stats().store_loaded, 1u);
-  const EvalResult served = warm.evaluate_one(stream_request(), &fused);
+  const EvalResult served = warm.evaluate(request, routed)[0];
   EXPECT_EQ(served.source, ResultSource::kBackend);
+  EXPECT_EQ(warm.metrics().counter("eval.routed_surrogate").value(), 1u);
   EXPECT_EQ(warm.stats().store_hits, 0u);
   // While the simulator-keyed request still hits the disk record.
   EXPECT_EQ(warm.evaluate_one(stream_request()).source, ResultSource::kStore);
 
   std::filesystem::remove_all(dir);
+}
+
+TEST(EvalService, SurrogateAnswersAreMemoisedPerModel) {
+  // Two models trained on different residuals answer the same request on
+  // one service: each gets its own prediction, freshly computed, rather
+  // than the other model's memo entry.
+  FusedModel low(answer_everything(6));
+  FusedModel high(answer_everything(6));
+  train_stream(low, 6, [](int) { return 0.2; });
+  train_stream(high, 6, [](int) { return 1.5; });
+  const config::CpuConfig config = config::thunderx2_baseline();
+  ASSERT_NE(served_cycles(low.predict(kernels::App::kStream, config)),
+            served_cycles(high.predict(kernels::App::kStream, config)));
+
+  EvalService service(hermetic(2));
+  const std::vector<EvalRequest> request = {stream_request()};
+  for (FusedModel* model : {&low, &high}) {
+    EvalPolicy routed;
+    routed.fused = model;
+    const EvalResult answer = service.evaluate(request, routed)[0];
+    EXPECT_EQ(answer.source, ResultSource::kBackend);
+    EXPECT_EQ(answer.cycles(),
+              served_cycles(model->predict(kernels::App::kStream, config)));
+  }
+  EXPECT_EQ(service.stats().backend_runs, 2u);
 }
 
 TEST(EvalService, RoutedEvaluationGatesOnResidualSpread) {
@@ -349,6 +393,225 @@ TEST(EvalService, RoutedEvaluationGatesOnResidualSpread) {
   const auto all_sim = service.evaluate(requests, routed);
   EXPECT_EQ(service.metrics().counter("eval.routed_surrogate").value(), 1u);
   EXPECT_EQ(all_sim[1].cycles(), results[1].cycles());
+}
+
+/// Instant, deterministic stand-in for the simulator on routed tests: cycles
+/// are a fixed function of the app, vector length and ROB size, plus a
+/// seeded per-config wobble so the residual forest's trees disagree
+/// somewhere.
+class FormulaBackend final : public Backend {
+ public:
+  const std::string& key() const override {
+    static const std::string k = "formula";
+    return k;
+  }
+  bool needs_trace() const override { return false; }
+
+  sim::RunResult run(const config::CpuConfig& config, kernels::App app,
+                     const isa::Program&) const override {
+    Rng wobble(static_cast<std::uint64_t>(config.core.rob_size) * 7919 +
+               static_cast<std::uint64_t>(config.core.vector_length_bits) *
+                   31 +
+               static_cast<std::uint64_t>(app));
+    sim::RunResult result;
+    result.core.cycles = static_cast<std::uint64_t>(
+        (20000.0 + 1000.0 * static_cast<double>(app) +
+         6.4e6 / config.core.vector_length_bits +
+         40.0 * config.core.rob_size) *
+        (1.0 + 0.5 * wobble.uniform01()));
+    result.power = power::analyze(config, result.core, result.mem);
+    return result;
+  }
+};
+
+/// `n` distinct sampled configs, each paired with every app in turn.
+std::vector<EvalRequest> sampled_requests(std::size_t n, std::uint64_t seed) {
+  const config::ParameterSpace space;
+  Rng rng(seed);
+  std::vector<EvalRequest> requests;
+  for (std::size_t i = 0; i < n; ++i) {
+    requests.push_back({space.sample(rng),
+                        kernels::all_apps()[i % kernels::kNumApps]});
+  }
+  return requests;
+}
+
+TEST(EvalService, RoutedResultsDoNotDependOnPoolThreads) {
+  // A few hundred requests through the full routed loop — warm-up rounds,
+  // refits, probes, surrogate answers, sim-only requests and cross-round
+  // repeats — give the same answers, sources and routing counters on 1, 2
+  // and 4 pool threads. Requests are distinct within each round, so every
+  // source is deterministic.
+  std::vector<EvalRequest> requests = sampled_requests(320, 11);
+  for (std::size_t i = 0; i < requests.size(); i += 9) {
+    requests[i].allow_surrogate = false;
+  }
+  // The last round repeats a middle one: memo hits on both sides.
+  const std::vector<EvalRequest> repeat(requests.begin() + 160,
+                                        requests.begin() + 192);
+  requests.insert(requests.end(), repeat.begin(), repeat.end());
+  FusedOptions options;
+  options.forest.num_trees = 8;
+  options.min_observations = 24;
+  options.round_size = 32;
+  options.probe_every = 5;
+  const char* counters[] = {"eval.routed_surrogate", "eval.routed_sim",
+                            "eval.fused_probes", "eval.residual_refits",
+                            "eval.memo_hits", "eval.backend_runs"};
+
+  std::vector<EvalResponse> reference;
+  std::vector<std::uint64_t> reference_counts;
+  for (const int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    FusedModel model(options);
+    FormulaBackend sim;
+    EvalPolicy routed;
+    routed.backend = &sim;
+    routed.fused = &model;
+    EvalService service(hermetic(threads));
+    const std::vector<EvalResponse> results =
+        service.evaluate(requests, routed);
+    std::vector<std::uint64_t> counts;
+    for (const char* name : counters) {
+      counts.push_back(service.metrics().counter(name).value());
+    }
+    if (threads == 1) {
+      reference = results;
+      reference_counts = counts;
+      // The batch exercises every branch of the router.
+      EXPECT_GT(counts[0], 0u);
+      EXPECT_GT(counts[1], 0u);
+      EXPECT_GT(counts[2], 0u);
+      EXPECT_GT(counts[3], 1u);
+      EXPECT_GT(counts[4], 0u);
+      continue;
+    }
+    EXPECT_EQ(counts, reference_counts);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].source, reference[i].source) << i;
+      EXPECT_EQ(results[i].cycles(), reference[i].cycles()) << i;
+      EXPECT_EQ(results[i].run.power.energy_j(),
+                reference[i].run.power.energy_j())
+          << i;
+    }
+  }
+}
+
+TEST(EvalService, RefitInsideARoundRePredictsOnlyThatApp) {
+  // Stream and tealeaf are fitted before the round. In the round, 32
+  // sim-only stream requests push stream past its next refit (16 rows, then
+  // 16 + 32), so stream's surrogate answers are re-predicted from the new
+  // forest; tealeaf does not refit, and its answers are the gated
+  // predictions.
+  FusedOptions options = answer_everything(16);
+  options.forest.num_trees = 8;
+  options.round_size = 1024;
+  FusedModel model(options);
+  FormulaBackend sim;
+  const config::ParameterSpace space;
+  Rng rng(5);
+  const auto observe = [&](kernels::App app, int n) {
+    for (int i = 0; i < n; ++i) {
+      const config::CpuConfig config = space.sample(rng);
+      model.observe(app, config,
+                    static_cast<double>(
+                        sim.run(config, app, isa::Program{}).core.cycles));
+    }
+  };
+  observe(kernels::App::kStream, 16);
+  observe(kernels::App::kTeaLeaf, 16);
+  ASSERT_EQ(model.refits(), 2u);
+
+  std::vector<EvalRequest> requests;
+  for (int i = 0; i < 32; ++i) {
+    requests.push_back({space.sample(rng), kernels::App::kStream, false});
+  }
+  for (int i = 0; i < 24; ++i) {
+    requests.push_back({space.sample(rng), kernels::App::kStream});
+    requests.push_back({space.sample(rng), kernels::App::kTeaLeaf});
+  }
+  std::vector<FusedPrediction> gated;
+  for (const EvalRequest& request : requests) {
+    gated.push_back(model.predict(request.app, request.config));
+  }
+
+  EvalService service(hermetic(2));
+  EvalPolicy routed;
+  routed.backend = &sim;
+  routed.fused = &model;
+  const std::vector<EvalResponse> results = service.evaluate(requests, routed);
+  ASSERT_EQ(model.refits(), 3u);
+  EXPECT_EQ(service.metrics().counter("eval.residual_refits").value(), 1u);
+  EXPECT_EQ(service.metrics().counter("eval.routed_surrogate").value(), 48u);
+
+  int changed = 0;
+  for (std::size_t i = 32; i < requests.size(); ++i) {
+    const EvalRequest& request = requests[i];
+    EXPECT_EQ(results[i].source, ResultSource::kBackend);
+    if (request.app == kernels::App::kStream) {
+      const FusedPrediction refit = model.predict(request.app, request.config);
+      EXPECT_EQ(results[i].cycles(), served_cycles(refit)) << i;
+      changed += served_cycles(refit) != served_cycles(gated[i]) ? 1 : 0;
+    } else {
+      EXPECT_EQ(results[i].cycles(), served_cycles(gated[i])) << i;
+    }
+  }
+  // The refit really moved stream's answers away from the gated ones.
+  EXPECT_GT(changed, 0);
+}
+
+TEST(FusedModel, ConcurrentPredictionsMatchSequential) {
+  // Two identically trained models: one predicts sequentially, the other
+  // from four threads at once — including the first, lazily summarising
+  // prediction of each (app, VL).
+  FusedOptions options;
+  options.forest.num_trees = 8;
+  options.min_observations = 16;
+  FusedModel sequential(options);
+  FusedModel concurrent(options);
+  FormulaBackend sim;
+  for (const EvalRequest& request : sampled_requests(64, 3)) {
+    const double cycles = static_cast<double>(
+        sim.run(request.config, request.app, isa::Program{}).core.cycles);
+    sequential.observe(request.app, request.config, cycles);
+    concurrent.observe(request.app, request.config, cycles);
+  }
+  const std::vector<EvalRequest> queries = sampled_requests(200, 4);
+  std::vector<FusedPrediction> expected;
+  for (const EvalRequest& query : queries) {
+    expected.push_back(sequential.predict(query.app, query.config));
+  }
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<FusedPrediction>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the queries from a different offset.
+      for (std::size_t k = 0; k < queries.size(); ++k) {
+        const EvalRequest& query =
+            queries[(k + static_cast<std::size_t>(t) * 50) % queries.size()];
+        got[static_cast<std::size_t>(t)].push_back(
+            concurrent.predict(query.app, query.config));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < queries.size(); ++k) {
+      const FusedPrediction& want =
+          expected[(k + static_cast<std::size_t>(t) * 50) % queries.size()];
+      const FusedPrediction& have = got[static_cast<std::size_t>(t)][k];
+      EXPECT_EQ(have.ready, want.ready);
+      EXPECT_EQ(std::memcmp(&have.cycles, &want.cycles, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&have.spread, &want.spread, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&have.analytical_min, &want.analytical_min,
+                            sizeof(double)),
+                0);
+    }
+  }
 }
 
 // --- store format compatibility ---------------------------------------------
