@@ -58,7 +58,7 @@ int main() {
   // A hermetic service: the surrogate-heavy table must not pollute the
   // shared on-disk result store, and a private registry makes the routing
   // counters below attributable to exactly this campaign.
-  eval::EvalOptions eval_options;
+  eval::ServiceConfig eval_options;
   eval_options.threads = num_threads();
   eval::EvalService service(eval_options);
 

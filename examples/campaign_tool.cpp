@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   // Campaign health: the unified metrics snapshot (cache decomposition,
   // pool gauges, batch latency) plus the Chrome trace if ADSE_TRACE_FILE
   // is set.
-  eval::EvalService::shared().stats();
+  eval::EvalService::shared().flush();
   std::printf("\n%s", obs::Registry::global().render_text().c_str());
   obs::Tracer::global().flush();
   return 0;

@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   }
 
   // Hermetic service: in-memory memo only (see file comment).
-  eval::EvalOptions eval_options;
+  eval::ServiceConfig eval_options;
   eval_options.threads = threads;
   eval::EvalService service(eval_options);
 

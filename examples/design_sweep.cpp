@@ -54,6 +54,7 @@ void sweep(config::ParamId id, const std::vector<double>& values) {
     for (kernels::App app : apps) requests.push_back({cpu, app});
   }
   const auto results = eval::EvalService::shared().evaluate(requests);
+  eval::require_ok(results);
 
   for (std::size_t i = 0; i < values.size(); ++i) {
     std::vector<std::string> row{format_fixed(values[i], 0)};

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   for (kernels::App app : kernels::all_apps()) requests.push_back({cpu, app});
   Stopwatch watch;
   const auto results = service.evaluate(requests);
+  eval::require_ok(results);
   const double total_ms = watch.millis();
 
   TextTable table({"Application", "µops", "Cycles", "IPC", "SVE %", "L1 hit %",
@@ -72,8 +73,11 @@ int main(int argc, char** argv) {
   if (argc > 2 && std::string(argv[2]) == "--stats") {
     // Full SimEng-style statistics block for the last app, plus the eval
     // service's cache decomposition.
-    const sim::RunResult detail =
-        service.evaluate_one({cpu, kernels::App::kMiniSweep}).run;
+    const std::vector<eval::EvalRequest> sweep = {
+        {cpu, kernels::App::kMiniSweep}};
+    const auto answer = service.evaluate(sweep);
+    eval::require_ok(answer);
+    const sim::RunResult& detail = answer.front().run;
     std::printf("%s\n", sim::render_stats(detail).c_str());
     std::printf("%s\n", service.cache_table().c_str());
   }

@@ -58,8 +58,11 @@ int main() {
     const auto features = config::feature_vector(cfg);
     const double predicted =
         bude.model.predict({features.begin(), features.end()});
-    const auto truth =
-        service.evaluate_one({cfg, kernels::App::kMiniBude}).cycles();
+    const std::vector<eval::EvalRequest> request = {
+        {cfg, kernels::App::kMiniBude}};
+    const auto answer = service.evaluate(request);
+    eval::require_ok(answer);
+    const auto truth = answer.front().cycles();
     table.add_row({name, format_grouped(static_cast<long long>(predicted)),
                    format_grouped(static_cast<long long>(truth))});
   }

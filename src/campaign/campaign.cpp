@@ -82,7 +82,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
       }
     };
   }
-  std::vector<eval::EvalResult> results;
+  std::vector<eval::EvalResponse> results;
   {
     obs::Span span("campaign.evaluate", "campaign");
     span.set_detail(spec.label + ": " + std::to_string(requests.size()) +
@@ -92,6 +92,7 @@ CampaignResult run_campaign(const CampaignSpec& spec,
     policy.progress = progress;
     results = service.evaluate(requests, policy);
   }
+  eval::require_ok(results);
   {
     auto& registry = obs::Registry::global();
     registry.counter("campaign.batches").add(1);
@@ -124,7 +125,7 @@ CampaignResult run_with_policy(
     const CampaignSpec& spec,
     CampaignResult (*run)(const CampaignSpec&, eval::EvalService&)) {
   if (spec.threads > 0) {
-    eval::EvalOptions options;
+    eval::ServiceConfig options;
     options.threads = spec.threads;
     eval::EvalService service(options);
     return run(spec, service);

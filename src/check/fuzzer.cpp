@@ -17,13 +17,14 @@ namespace adse::check {
 namespace {
 
 /// One check of a single (config, app) evaluation: structural invariants
-/// (surfaced by evaluate_checked) plus the oracle properties. Returns the
-/// combined failure message, or "" for a clean run; `cycles` is filled for
-/// runs that completed.
+/// (surfaced as a kBackendError response) plus the oracle properties.
+/// Returns the combined failure message, or "" for a clean run; `cycles` is
+/// filled for runs that completed.
 std::string check_point(eval::EvalService& service,
                         const config::CpuConfig& config, kernels::App app,
                         std::uint64_t* cycles) {
-  const eval::EvalResponse checked = service.evaluate_checked({config, app});
+  const eval::EvalRequest request{config, app};
+  const eval::EvalResponse checked = service.evaluate({&request, 1}).front();
   if (!checked.ok()) return checked.error;
   if (cycles != nullptr) *cycles = checked.cycles();
   const isa::Program& trace =

@@ -43,7 +43,8 @@ std::string one_line(std::string s) {
 /// checked here against the returned stats.
 bool run_violates(eval::EvalService& service, const CpuConfig& config,
                   kernels::App app) {
-  const eval::EvalResponse checked = service.evaluate_checked({config, app});
+  const eval::EvalRequest request{config, app};
+  const eval::EvalResponse checked = service.evaluate({&request, 1}).front();
   if (!checked.ok()) return true;
   const isa::Program& trace =
       service.trace(app, config.core.vector_length_bits);
@@ -89,8 +90,10 @@ bool reproduces(eval::EvalService& service, const Violation& violation) {
       with_param(violation.config, *violation.chain_param, violation.chain_lo);
   const CpuConfig hi =
       with_param(violation.config, *violation.chain_param, violation.chain_hi);
-  const auto lo_run = service.evaluate_checked({lo, violation.app});
-  const auto hi_run = service.evaluate_checked({hi, violation.app});
+  const eval::EvalRequest lo_request{lo, violation.app};
+  const eval::EvalRequest hi_request{hi, violation.app};
+  const auto lo_run = service.evaluate({&lo_request, 1}).front();
+  const auto hi_run = service.evaluate({&hi_request, 1}).front();
   // A pair that now trips an invariant is still a live finding.
   if (!lo_run.ok() || !hi_run.ok()) return true;
   return hi_run.cycles() > monotone_allowed_cycles(lo_run.cycles());

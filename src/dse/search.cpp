@@ -60,6 +60,7 @@ std::vector<EvaluatedConfig> evaluate_batch(
   eval::EvalPolicy policy;
   policy.fused = options.fused;
   const auto results = service.evaluate(requests, policy);
+  eval::require_ok(results);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     EvaluatedConfig& e = out[i];
     for (std::size_t a = 0; a < apps.size(); ++a) {
@@ -661,7 +662,7 @@ SearchResult run_with_policy(
     const SearchOptions& options,
     SearchResult (*run)(const SearchOptions&, eval::EvalService&)) {
   if (options.threads > 0) {
-    eval::EvalOptions eval_options;
+    eval::ServiceConfig eval_options;
     eval_options.threads = options.threads;
     eval::EvalService service(eval_options);
     return run(options, service);

@@ -67,7 +67,7 @@ enum class EvalStatus : std::uint32_t {
   kBadRequest = 1,       ///< malformed request payload (unknown app, sizes)
   kBadFrame = 2,         ///< framing error: bad magic/length/checksum
   kVersionMismatch = 3,  ///< peer speaks a different protocol version
-  kBackendError = 4,     ///< the backend threw (e.g. a model InvariantError)
+  kBackendError = 4,     ///< the run failed alone with a model InvariantError
   kDraining = 5,         ///< server is draining and refused new work
   kTimeout = 6,          ///< client-side per-request timeout expired
   kDisconnected = 7,     ///< connection lost before a response arrived
@@ -104,8 +104,9 @@ struct EvalResponse {
   std::uint64_t cycles() const { return run.cycles(); }
 };
 
-/// Transitional alias: PR 3's result type, now carrying an explicit status.
-using EvalResult = EvalResponse;
+/// Throws the first failed response's error as an InvariantError — for
+/// callers (campaigns, DSE, examples) whose run aborts on any failure.
+void require_ok(std::span<const EvalResponse> responses);
 
 /// Batch progress callback; may be invoked concurrently from workers.
 using Progress = std::function<void(std::size_t done, std::size_t total)>;
@@ -142,8 +143,8 @@ struct ServiceConfig {
   /// Worker threads; 0 inherits the process default (ADSE_THREADS, falling
   /// back to hardware concurrency) via adse::num_threads().
   int threads = 0;
-  /// Batch width ceiling for config-parallel dispatch; 0 inherits
-  /// ADSE_BATCH_K (default 8), <= 1 keeps every request on the scalar path.
+  /// Lanes per engine pass; 0 inherits ADSE_BATCH_K (default 8), <= 1 runs
+  /// every request as its own one-lane chunk.
   int batch_k = 0;
   /// Routing gate for the fused surrogate; < 0 inherits
   /// ADSE_FUSED_THRESHOLD. Consumed through fused_options().
@@ -170,8 +171,5 @@ struct ServiceConfig {
   /// of the env-derived defaults (forest shape, round size, ...).
   FusedOptions fused_options() const;
 };
-
-/// Transitional alias: PR 3's options struct, now the typed ServiceConfig.
-using EvalOptions = ServiceConfig;
 
 }  // namespace adse::eval

@@ -14,10 +14,9 @@
 /// checksum and truncates the file back to the last intact record — a
 /// truncated store loses at most the torn record, never the run.
 ///
-/// Format history: v1 ("ADSEVAL1") predates the power model — it lacks the
-/// energy-model counters and the power block. The loader still reads v1
-/// files (new counters decode as 0, power as NaN) and migrates them to v2
-/// in place, so existing campaign caches survive the upgrade.
+/// A file with any other header — a foreign file, or the pre-power v1
+/// format ("ADSEVAL1") — is stale: it is rebuilt empty (a cache may always
+/// be dropped).
 
 #include <array>
 #include <cstdint>
@@ -42,7 +41,7 @@ struct StoreRecord {
   std::array<double, config::kNumParams> features{};
   core::CoreStats core;
   mem::MemStats mem;
-  power::PowerResult power;  ///< NaN for records migrated from v1
+  power::PowerResult power;
 };
 
 class ResultStore {
@@ -80,15 +79,8 @@ class ResultStore {
   /// On-disk size of one record, for tests and capacity estimates.
   static std::size_t record_bytes();
 
-  /// Writes a v1-format ("ADSEVAL1") store at `path`, dropping the power
-  /// block and the v2-only counters. Exists so the forward-compat
-  /// regression tests (and any external tooling pinned to v1) can fabricate
-  /// old stores; new code always writes v2.
-  static void write_legacy_v1(const std::string& path,
-                              const std::vector<StoreRecord>& records);
-
   /// Applies `fn` to every persisted counter of a record's stat blocks, in
-  /// the frozen v2 on-disk order. Public so the wire codec (eval/wire.cpp)
+  /// the frozen on-disk order. Public so the wire codec (eval/wire.cpp)
   /// serializes EvalResponse counter blocks bit-for-bit the way the store
   /// does — one visitation order, two consumers.
   static void visit_run_counters(core::CoreStats& core, mem::MemStats& mem,

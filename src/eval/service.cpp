@@ -1,7 +1,8 @@
 #include "eval/service.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -15,21 +16,6 @@
 namespace adse::eval {
 
 namespace {
-
-const isa::Program& empty_program() {
-  static const isa::Program program;
-  return program;
-}
-
-/// Runs `request` on `backend`, with the app's trace when it needs one.
-sim::RunResult run_backend(const Backend& backend, const EvalRequest& request,
-                           TraceCache& traces) {
-  const isa::Program& trace =
-      backend.needs_trace()
-          ? traces.get(request.app, request.config.core.vector_length_bits)
-          : empty_program();
-  return backend.run(request.config, request.app, trace);
-}
 
 /// The memo tag of a fused model's surrogate answers: one per model, so a
 /// second model on the same service never inherits the first's predictions.
@@ -52,6 +38,12 @@ const char* status_name(EvalStatus status) {
     case EvalStatus::kInternal: return "internal";
   }
   return "unknown";
+}
+
+void require_ok(std::span<const EvalResponse> responses) {
+  for (const EvalResponse& response : responses) {
+    if (!response.ok()) throw InvariantError(response.error);
+  }
 }
 
 ServiceConfig ServiceConfig::from_env() {
@@ -151,18 +143,8 @@ EvalService::EvalService(ServiceConfig config)
       slot.core = record.core;
       slot.mem = record.mem;
       slot.power = record.power;
-      if (!slot.power.valid()) {
-        // Record migrated from a pre-power (v1) store: rebuild the config
-        // from its features and re-run the analytical model. Best effort —
-        // area and leakage are exact (pure functions of the config and the
-        // cycle count); dynamic energy misses the v2-only event counters,
-        // which decode as zero.
-        slot.power = power::analyze(config::config_from_features(record.features),
-                                    record.core, record.mem);
-      }
       slot.from_store = true;
       slot.state = Slot::State::kDone;
-      slot.done.store(true, std::memory_order_release);
     }
     store_loaded_->set(static_cast<double>(store_->loaded().size()));
     if (options_.verbose && !store_->loaded().empty()) {
@@ -194,148 +176,227 @@ void EvalService::fill_from_slot(const EvalRequest& request, const Slot& slot,
   out.run.power = slot.power;
 }
 
-EvalResponse EvalService::join(const EvalRequest& request, const MemoKey& key,
-                               bool persist,
-                               const std::function<sim::RunResult()>& run) {
-  Shard& shard = shard_for(key);
-  std::unique_lock<std::mutex> lock(shard.mutex);
-  Slot& slot = shard.map[key];
-  EvalResponse out;
-  shard.cv.wait(lock, [&] { return slot.state != Slot::State::kRunning; });
-  if (slot.state == Slot::State::kDone) {
-    // An identical concurrent request ran the backend while we waited.
-    inflight_joins_->add(1);
-    fill_from_slot(request, slot, ResultSource::kInflight, out);
-    return out;
-  }
-  slot.state = Slot::State::kRunning;
-  lock.unlock();
+EvalService::ChunkRunner EvalService::backend_runner(const Backend& backend) {
+  return [this, &backend](std::span<const EvalRequest> requests,
+                          std::span<const std::size_t> members) {
+    batch_width_->observe(static_cast<double>(members.size()));
+    const EvalRequest& first = requests[members.front()];
+    std::vector<config::CpuConfig> configs;
+    configs.reserve(members.size());
+    for (const std::size_t i : members) configs.push_back(requests[i].config);
+    return backend.run_batch(
+        configs, first.app,
+        traces_.get(first.app, first.config.core.vector_length_bits));
+  };
+}
+
+std::optional<std::string> EvalService::run_chunk(
+    std::span<const EvalRequest> requests, std::span<const Claim> claims,
+    bool persist, const ChunkRunner& run, std::span<EvalResponse> out) {
+  obs::Span span("eval.backend_run_batch", "eval");
+  span.set_detail(std::to_string(claims.size()) + " lanes");
+  std::vector<std::size_t> members;
+  members.reserve(claims.size());
+  for (const Claim& claim : claims) members.push_back(claim.index);
+  // Leave no memo entry for a failed run: revert every claim and wake the
+  // waiters, one of which re-claims (and re-fails, if the fault is its own).
+  const auto revert = [&] {
+    for (const Claim& claim : claims) {
+      {
+        std::lock_guard<std::mutex> lock(claim.shard->mutex);
+        claim.slot->state = Slot::State::kEmpty;
+      }
+      claim.shard->cv.notify_all();
+    }
+  };
+  std::vector<sim::RunResult> results;
   try {
-    // Coarse per-simulation span: one event per fresh backend run keeps a
-    // 180k-config trace readable and the disabled-tracer cost to a branch.
-    obs::Span span("eval.backend_run", "eval");
-    const sim::RunResult fresh = run();
-    slot.core = fresh.core;
-    slot.mem = fresh.mem;
-    slot.power = fresh.power;
+    results = run(requests, members);
+    ADSE_REQUIRE_MSG(results.size() == claims.size(),
+                     "backend answered " << results.size() << " of "
+                                         << claims.size() << " lanes");
+  } catch (const InvariantError& err) {
+    revert();
+    return err.what();
   } catch (...) {
-    // Leave no memo entry: revert the claim and wake waiters so one of them
-    // re-claims (and deterministically re-fails, if the failure is the
-    // model's).
-    lock.lock();
-    slot.state = Slot::State::kEmpty;
-    lock.unlock();
-    shard.cv.notify_all();
+    revert();
     throw;
   }
-  lock.lock();
-  slot.state = Slot::State::kDone;
-  slot.done.store(true, std::memory_order_release);
-  lock.unlock();
-  shard.cv.notify_all();
-  backend_runs_->add(1);
-  if (store_ != nullptr && persist) {
-    store_->append(
-        {key.tag, key.app, key.features, slot.core, slot.mem, slot.power});
+  for (std::size_t lane = 0; lane < claims.size(); ++lane) {
+    const Claim& claim = claims[lane];
+    Slot& slot = *claim.slot;
+    {
+      std::lock_guard<std::mutex> lock(claim.shard->mutex);
+      slot.core = results[lane].core;
+      slot.mem = results[lane].mem;
+      slot.power = results[lane].power;
+      slot.state = Slot::State::kDone;
+    }
+    claim.shard->cv.notify_all();
+    backend_runs_->add(1);
+    if (store_ != nullptr && persist) {
+      store_->append({claim.key->tag, claim.key->app, claim.key->features,
+                      slot.core, slot.mem, slot.power});
+    }
+    fill_from_slot(requests[claim.index], slot, ResultSource::kBackend,
+                   out[claim.index]);
   }
-  fill_from_slot(request, slot, ResultSource::kBackend, out);
-  return out;
+  return std::nullopt;
 }
 
-template <typename Run>
-EvalResponse EvalService::serve_one(const EvalRequest& request,
-                                    const MemoKey& key, bool persist,
-                                    const Run& run) {
-  Shard& shard = shard_for(key);
-  Slot* slot;
-  {
+std::vector<EvalResponse> EvalService::run_pipeline(
+    std::span<const EvalRequest> requests, std::uint64_t tag, bool persist,
+    const ChunkRunner& run, const Progress& progress) {
+  std::vector<EvalResponse> out(requests.size());
+  std::atomic<std::size_t> completed{0};
+  const auto note_done = [&] {
+    if (progress) progress(completed.fetch_add(1) + 1, requests.size());
+  };
+
+  // 1. Resolve and claim. Each request's memo entry is found or inserted
+  // across the pool (a single request inline), so hashing and new entries
+  // are spread over the workers; claims are then taken in request order, so
+  // which of two duplicates claims does not depend on the pool. A finished
+  // slot is answered now; an empty one is claimed (state -> kRunning) for
+  // this call's chunks; a running one — another caller's, or an earlier
+  // duplicate in this batch — is joined in step 4.
+  std::vector<Claim> resolved(requests.size());
+  const auto resolve = [&](std::size_t i) {
+    const MemoKey key = make_key(requests[i], tag);
+    Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
-    slot = &shard.map[key];
-  }
-  requests_->add(1);
-  // One named result on every path keeps the hit path free of a copy.
-  EvalResponse out;
-  if (slot->done.load(std::memory_order_acquire)) {
-    const ResultSource source =
-        slot->from_store ? ResultSource::kStore : ResultSource::kMemo;
-    (slot->from_store ? store_hits_ : memo_hits_)->add(1);
-    fill_from_slot(request, *slot, source, out);
+    auto& entry = *shard.map.try_emplace(key).first;
+    resolved[i] = {i, &shard, &entry.first, &entry.second};
+  };
+  if (requests.size() == 1) {
+    resolve(0);
   } else {
-    out = join(request, key, persist, run);
+    pool_.parallel_for(requests.size(), resolve);
+  }
+  std::vector<Claim> claims;
+  std::vector<Claim> joins;
+  for (const Claim& claim : resolved) {
+    Slot::State state;
+    {
+      std::lock_guard<std::mutex> lock(claim.shard->mutex);
+      state = claim.slot->state;
+      if (state == Slot::State::kEmpty) {
+        claim.slot->state = Slot::State::kRunning;
+      }
+    }
+    requests_->add(1);
+    if (state == Slot::State::kDone) {
+      const bool stored = claim.slot->from_store;
+      (stored ? store_hits_ : memo_hits_)->add(1);
+      fill_from_slot(requests[claim.index], *claim.slot,
+                     stored ? ResultSource::kStore : ResultSource::kMemo,
+                     out[claim.index]);
+      note_done();
+    } else {
+      (state == Slot::State::kEmpty ? claims : joins).push_back(claim);
+    }
+  }
+
+  // 2. Group the claims by (app, VL) — a chunk shares one trace — into
+  // chunks of at most batch_k lanes, in request order within a group.
+  const auto group = [&](const Claim& claim) {
+    const EvalRequest& request = requests[claim.index];
+    return std::pair{static_cast<int>(request.app),
+                     request.config.core.vector_length_bits};
+  };
+  std::stable_sort(claims.begin(), claims.end(),
+                   [&](const Claim& a, const Claim& b) {
+                     return group(a) < group(b);
+                   });
+  const std::size_t k = static_cast<std::size_t>(std::max(batch_k_, 1));
+  std::vector<std::span<const Claim>> chunks;
+  for (std::size_t begin = 0; begin < claims.size();) {
+    std::size_t end = begin + 1;
+    while (end < claims.size() && end - begin < k &&
+           group(claims[end]) == group(claims[begin])) {
+      ++end;
+    }
+    chunks.emplace_back(claims.data() + begin, end - begin);
+    begin = end;
+  }
+
+  // 3. Run the chunks across the pool (a single chunk inline). A failed
+  // chunk was reverted; a lone member has failed by itself, the members of
+  // a wider one join in step 4 and run alone there.
+  const auto fail = [&](const Claim& claim, std::string error) {
+    out[claim.index].status = EvalStatus::kBackendError;
+    out[claim.index].error = std::move(error);
+    note_done();
+  };
+  std::vector<std::optional<std::string>> errors(chunks.size());
+  const auto run_one = [&](std::size_t c) {
+    errors[c] = run_chunk(requests, chunks[c], persist, run, out);
+    if (errors[c]) return;
+    for (std::size_t lane = 0; lane < chunks[c].size(); ++lane) note_done();
+  };
+  if (chunks.size() == 1) {
+    run_one(0);
+  } else if (!chunks.empty()) {
+    pool_.parallel_for(chunks.size(), run_one);
+  }
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    if (!errors[c]) continue;
+    if (chunks[c].size() == 1) {
+      fail(chunks[c].front(), std::move(*errors[c]));
+    } else {
+      joins.insert(joins.end(), chunks[c].begin(), chunks[c].end());
+    }
+  }
+
+  // 4. Join: wait out slots another caller is running. A slot left empty by
+  // a failed run is re-claimed and run alone, so only a request that fails
+  // by itself is answered kBackendError.
+  for (const Claim& claim : joins) {
+    std::unique_lock<std::mutex> lock(claim.shard->mutex);
+    claim.shard->cv.wait(
+        lock, [&] { return claim.slot->state != Slot::State::kRunning; });
+    if (claim.slot->state == Slot::State::kDone) {
+      lock.unlock();
+      inflight_joins_->add(1);
+      fill_from_slot(requests[claim.index], *claim.slot,
+                     ResultSource::kInflight, out[claim.index]);
+    } else {
+      claim.slot->state = Slot::State::kRunning;
+      lock.unlock();
+      if (auto error = run_chunk(requests, {&claim, 1}, persist, run, out)) {
+        fail(claim, std::move(*error));
+        continue;
+      }
+    }
+    note_done();
   }
   return out;
-}
-
-EvalResponse EvalService::evaluate_one(const EvalRequest& request,
-                                       const Backend* backend) {
-  const Backend& chosen = backend != nullptr ? *backend : simulator_;
-  return serve_one(request, make_key(request, ResultStore::tag(chosen.key())),
-                   chosen.persistable(),
-                   [&] { return run_backend(chosen, request, traces_); });
-}
-
-EvalResponse EvalService::evaluate_checked(const EvalRequest& request,
-                                           const Backend* backend) {
-  try {
-    return evaluate_one(request, backend);
-  } catch (const InvariantError& err) {
-    EvalResponse failed;
-    failed.status = EvalStatus::kBackendError;
-    failed.error = err.what();
-    return failed;
-  }
 }
 
 std::vector<EvalResponse> EvalService::evaluate(
     std::span<const EvalRequest> requests, const EvalPolicy& policy) {
+  const Backend& backend =
+      policy.backend != nullptr ? *policy.backend : simulator_;
   if (policy.fused != nullptr && policy.fused->options().threshold > 0.0) {
-    return evaluate_routed(requests, *policy.fused, policy.backend,
-                           policy.progress);
+    return evaluate_routed(requests, *policy.fused, backend, policy.progress);
   }
-  // Route nothing: the plain all-sim path, bit-identically (no model reads,
-  // no observations — the policy is entirely out of the loop).
-  return evaluate_plain(requests, policy.backend, policy.progress);
-}
-
-std::vector<EvalResponse> EvalService::evaluate_plain(
-    std::span<const EvalRequest> requests, const Backend* backend,
-    const Progress& progress) {
-  std::vector<EvalResponse> out(requests.size());
-  if (requests.empty()) return out;
+  // Route nothing: every request runs on the backend, bit-identically (no
+  // model reads, no observations — the policy is out of the loop).
   obs::Span span("eval.batch", "eval");
   span.set_detail(std::to_string(requests.size()) + " requests");
-  const Backend& chosen = backend != nullptr ? *backend : simulator_;
-  if (batch_k_ > 1 && requests.size() > 1 && chosen.needs_trace()) {
-    return evaluate_batched(requests, chosen, batch_k_, progress);
-  }
-  std::atomic<std::size_t> done{0};
-  auto run_one = [&](std::size_t i) {
-    out[i] = evaluate_one(requests[i], backend);
-    if (progress) progress(done.fetch_add(1) + 1, requests.size());
-  };
-  if (requests.size() == 1) {
-    run_one(0);
-  } else {
-    pool_.parallel_for(requests.size(), run_one);
-  }
-  return out;
+  return run_pipeline(requests, ResultStore::tag(backend.key()), true,
+                      backend_runner(backend), policy.progress);
 }
 
 std::vector<EvalResponse> EvalService::evaluate_routed(
     std::span<const EvalRequest> requests, FusedModel& model,
-    const Backend* sim_backend, const Progress& progress) {
-  const Backend& sim = sim_backend != nullptr ? *sim_backend : simulator_;
-
+    const Backend& sim, const Progress& progress) {
   std::vector<EvalResponse> out(requests.size());
   if (requests.empty()) return out;
   obs::Span span("eval.routed_batch", "eval");
   span.set_detail(std::to_string(requests.size()) + " requests");
+  const std::uint64_t sim_tag = ResultStore::tag(sim.key());
   const std::uint64_t surrogate_tag = fused_tag(model);
-  std::size_t completed = 0;
-  const auto note_round = [&](std::size_t done_in_round) {
-    completed += done_in_round;
-    if (progress) progress(completed, requests.size());
-  };
 
   const std::size_t round =
       std::max<std::size_t>(1, static_cast<std::size_t>(
@@ -371,20 +432,30 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
         sim_members.push_back(i);
       }
     }
+    const auto gather = [&](const std::vector<std::size_t>& members) {
+      std::vector<EvalRequest> gathered;
+      gathered.reserve(members.size());
+      for (const std::size_t i : members) gathered.push_back(window[i]);
+      return gathered;
+    };
+    const auto scatter = [&](const std::vector<std::size_t>& members,
+                             std::vector<EvalResponse>& results) {
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        out[start + members[m]] = std::move(results[m]);
+      }
+    };
 
-    // Real-simulator side (including probes): the normal batched path, then
-    // every fresh truth feeds the residual model.
-    std::vector<EvalRequest> sim_requests;
-    sim_requests.reserve(sim_members.size());
-    for (const std::size_t i : sim_members) sim_requests.push_back(window[i]);
-    const std::vector<EvalResponse> sim_results =
-        evaluate_plain(sim_requests, &sim, {});
+    // Real-simulator side (including probes): the pipeline on the backend,
+    // then every fresh truth feeds the residual model.
+    const std::vector<EvalRequest> sim_requests = gather(sim_members);
+    std::vector<EvalResponse> sim_results =
+        run_pipeline(sim_requests, sim_tag, true, backend_runner(sim), {});
     routed_sim_->add(sim_results.size());
     std::array<bool, kernels::kNumApps> refit{};
     for (std::size_t m = 0; m < sim_members.size(); ++m) {
-      const EvalRequest& request = window[sim_members[m]];
-      out[start + sim_members[m]] = sim_results[m];
-      if (model.observe(request.app, request.config,
+      const EvalRequest& request = sim_requests[m];
+      if (sim_results[m].ok() &&
+          model.observe(request.app, request.config,
                         static_cast<double>(sim_results[m].cycles()))) {
         refit[static_cast<std::size_t>(request.app)] = true;
         residual_refits_->add(1);
@@ -398,217 +469,92 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
                                     100.0);
       }
     }
+    scatter(sim_members, sim_results);
 
-    // Surrogate side: answers are the gated predictions (re-predicted from
-    // the new snapshot for an app that refit above), memoised under this
-    // model's tag and never persisted.
-    pool_.parallel_for(fused_members.size(), [&](std::size_t m) {
-      const std::size_t i = fused_members[m];
-      const EvalRequest& request = window[i];
-      out[start + i] = serve_one(
-          request, make_key(request, surrogate_tag), false, [&] {
+    // Surrogate side: the same pipeline with a trace-free runner whose
+    // answers are the gated predictions (re-predicted from the new snapshot
+    // for an app that refit above), memoised under this model's tag and
+    // never persisted.
+    const std::vector<EvalRequest> fused_requests = gather(fused_members);
+    std::vector<EvalResponse> fused_results = run_pipeline(
+        fused_requests, surrogate_tag, false,
+        [&](std::span<const EvalRequest> batch,
+            std::span<const std::size_t> members) {
+          std::vector<sim::RunResult> answers;
+          answers.reserve(members.size());
+          for (const std::size_t m : members) {
+            const EvalRequest& request = batch[m];
             const double cycles =
                 refit[static_cast<std::size_t>(request.app)]
                     ? model.predict(request.app, request.config).cycles
-                    : predictions[i].cycles;
-            return surrogate_result(request.config, request.app, cycles);
-          });
-    });
+                    : predictions[fused_members[m]].cycles;
+            answers.push_back(
+                surrogate_result(request.config, request.app, cycles));
+          }
+          return answers;
+        },
+        {});
+    scatter(fused_members, fused_results);
     routed_surrogate_->add(fused_members.size());
-    note_round(window.size());
+    if (progress) progress(start + window.size(), requests.size());
   }
   return out;
 }
 
-std::vector<EvalResponse> EvalService::evaluate_batched(
-    std::span<const EvalRequest> requests, const Backend& backend, int k,
-    const Progress& progress) {
-  std::vector<EvalResponse> out(requests.size());
-  std::atomic<std::size_t> completed{0};
-  auto note_done = [&] {
-    if (progress) progress(completed.fetch_add(1) + 1, requests.size());
-  };
-
-  // Claim phase: resolve every request against the memo. Finished slots are
-  // served immediately; empty slots are claimed (state -> kRunning) for the
-  // chunked engine passes below; slots another thread (or an earlier
-  // duplicate in this very batch) is already running are joined later.
-  struct Claimed {
-    std::size_t index;  ///< position in `requests` / `out`
-    MemoKey key;
-  };
-  std::vector<Claimed> claimed;
-  std::vector<std::pair<std::size_t, MemoKey>> waiting;
-  const std::uint64_t tag = ResultStore::tag(backend.key());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const MemoKey key = make_key(requests[i], tag);
-    Shard& shard = shard_for(key);
-    requests_->add(1);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    Slot& slot = shard.map[key];
-    if (slot.state == Slot::State::kDone) {
-      const ResultSource source =
-          slot.from_store ? ResultSource::kStore : ResultSource::kMemo;
-      (slot.from_store ? store_hits_ : memo_hits_)->add(1);
-      fill_from_slot(requests[i], slot, source, out[i]);
-      note_done();
-    } else if (slot.state == Slot::State::kEmpty) {
-      slot.state = Slot::State::kRunning;
-      claimed.push_back({i, key});
-    } else {
-      waiting.emplace_back(i, key);
-    }
-  }
-
-  // Group claimed requests by (app, VL) — a batch shares one trace — and
-  // chunk each group into K-lane engine passes, farmed across the pool.
-  std::map<std::pair<int, int>, std::vector<std::size_t>> groups;
-  for (std::size_t c = 0; c < claimed.size(); ++c) {
-    const EvalRequest& request = requests[claimed[c].index];
-    groups[{static_cast<int>(request.app),
-            request.config.core.vector_length_bits}]
-        .push_back(c);
-  }
-  struct Chunk {
-    kernels::App app;
-    int vl = 0;
-    std::span<const std::size_t> members;  ///< indices into `claimed`
-  };
-  std::vector<Chunk> chunks;
-  for (const auto& [app_vl, members] : groups) {
-    for (std::size_t start = 0; start < members.size();
-         start += static_cast<std::size_t>(k)) {
-      const std::size_t width =
-          std::min(static_cast<std::size_t>(k), members.size() - start);
-      chunks.push_back({static_cast<kernels::App>(app_vl.first), app_vl.second,
-                        {members.data() + start, width}});
-    }
-  }
-
-  auto run_chunk = [&](std::size_t ci) {
-    const Chunk& chunk = chunks[ci];
-    obs::Span chunk_span("eval.backend_run_batch", "eval");
-    chunk_span.set_detail(std::to_string(chunk.members.size()) + " lanes");
-    batch_width_->observe(static_cast<double>(chunk.members.size()));
-    const isa::Program& trace = traces_.get(chunk.app, chunk.vl);
-    std::vector<config::CpuConfig> configs;
-    configs.reserve(chunk.members.size());
-    for (const std::size_t c : chunk.members) {
-      configs.push_back(requests[claimed[c].index].config);
-    }
-    std::vector<sim::RunResult> results;
-    try {
-      results = backend.run_batch(configs, chunk.app, trace);
-    } catch (...) {
-      // Revert every claim in the chunk so no memo entry survives a failed
-      // pass; waiters re-claim and re-fail deterministically.
-      for (const std::size_t c : chunk.members) {
-        Shard& shard = shard_for(claimed[c].key);
-        {
-          std::lock_guard<std::mutex> lock(shard.mutex);
-          shard.map[claimed[c].key].state = Slot::State::kEmpty;
-        }
-        shard.cv.notify_all();
-      }
-      throw;
-    }
-    for (std::size_t lane = 0; lane < chunk.members.size(); ++lane) {
-      const std::size_t c = chunk.members[lane];
-      const MemoKey& key = claimed[c].key;
-      Shard& shard = shard_for(key);
-      Slot* slot;
-      {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        slot = &shard.map[key];
-        slot->core = results[lane].core;
-        slot->mem = results[lane].mem;
-        slot->power = results[lane].power;
-        slot->state = Slot::State::kDone;
-        slot->done.store(true, std::memory_order_release);
-      }
-      shard.cv.notify_all();
-      backend_runs_->add(1);
-      if (store_ != nullptr && backend.persistable()) {
-        store_->append({key.tag, key.app, key.features, slot->core, slot->mem,
-                        slot->power});
-      }
-      fill_from_slot(requests[claimed[c].index], *slot, ResultSource::kBackend,
-                     out[claimed[c].index]);
-      note_done();
-    }
-  };
-  if (chunks.size() == 1) {
-    run_chunk(0);
-  } else if (!chunks.empty()) {
-    pool_.parallel_for(chunks.size(), run_chunk);
-  }
-
-  // Join phase: wait for slots someone else is running. If a claim was
-  // reverted by a failure, take it over on this thread.
-  for (const auto& [i, key] : waiting) {
-    out[i] = join(requests[i], key, backend.persistable(),
-                  [&] { return run_backend(backend, requests[i], traces_); });
-    note_done();
-  }
-  return out;
-}
-
-EvalStats EvalService::stats() const {
-  EvalStats s;
-  s.requests = requests_->value();
-  s.backend_runs = backend_runs_->value();
-  s.memo_hits = memo_hits_->value();
-  s.store_hits = store_hits_->value();
-  s.inflight_joins = inflight_joins_->value();
-  if (store_ != nullptr) {
-    s.store_loaded = store_->loaded().size();
-    s.store_appended = store_->appended();
-  }
-  s.trace_hits = traces_.hits();
-  s.trace_builds = traces_.builds();
-  // Refresh the sampled gauges so a registry snapshot taken after stats()
-  // (the bench/CI artifact path) reflects the pool and store state.
+void EvalService::refresh_gauges() const {
   pool_queue_depth_->set(static_cast<double>(pool_.queue_depth()));
   pool_queue_high_water_->set(static_cast<double>(pool_.max_queue_depth()));
-  store_appended_->set(static_cast<double>(s.store_appended));
-  return s;
+  if (store_ != nullptr) {
+    store_appended_->set(static_cast<double>(store_->appended()));
+  }
 }
 
 std::string EvalService::summary_line() const {
-  // Byte-stable with the historical sim::summarize_eval(EvalStats) output:
-  // CI's cache-reuse smoke greps "[eval] fresh simulator runs: 0 ".
-  const EvalStats s = stats();
+  // Byte-stable: CI's cache-reuse smoke greps
+  // "[eval] fresh simulator runs: 0 ".
+  refresh_gauges();
   std::ostringstream os;
-  os << "[eval] fresh simulator runs: " << s.backend_runs
-     << " | requests: " << s.requests << " | memo hits: " << s.memo_hits
-     << " | store hits: " << s.store_hits << " | in-flight joins: "
-     << s.inflight_joins << " | traces built: " << s.trace_builds;
+  os << "[eval] fresh simulator runs: " << backend_runs_->value()
+     << " | requests: " << requests_->value()
+     << " | memo hits: " << memo_hits_->value()
+     << " | store hits: " << store_hits_->value()
+     << " | in-flight joins: " << inflight_joins_->value()
+     << " | traces built: " << traces_.builds();
   return os.str();
 }
 
 std::string EvalService::cache_table() const {
-  const EvalStats s = stats();
+  refresh_gauges();
+  const std::uint64_t requests = requests_->value();
+  const std::uint64_t cached = memo_hits_->value() + store_hits_->value() +
+                               inflight_joins_->value();
+  const double cached_pct =
+      requests == 0 ? 0.0
+                    : static_cast<double>(cached) /
+                          static_cast<double>(requests) * 100.0;
   auto grouped = [](std::uint64_t v) {
     return format_grouped(static_cast<long long>(v));
   };
-  std::ostringstream os;
   TextTable table({"evaluation service", "count"});
-  table.add_row({"requests served", grouped(s.requests)});
-  table.add_row({"fresh backend runs", grouped(s.backend_runs)});
-  table.add_row({"memo hits", grouped(s.memo_hits)});
-  table.add_row({"result-store hits", grouped(s.store_hits)});
-  table.add_row({"in-flight joins", grouped(s.inflight_joins)});
-  table.add_row({"cached %", format_fixed(s.hit_fraction() * 100.0, 2)});
-  table.add_row({"store records loaded", grouped(s.store_loaded)});
-  table.add_row({"store records appended", grouped(s.store_appended)});
-  table.add_row({"traces built", grouped(s.trace_builds)});
-  table.add_row({"trace-cache hits", grouped(s.trace_hits)});
+  table.add_row({"requests served", grouped(requests)});
+  table.add_row({"fresh backend runs", grouped(backend_runs_->value())});
+  table.add_row({"memo hits", grouped(memo_hits_->value())});
+  table.add_row({"result-store hits", grouped(store_hits_->value())});
+  table.add_row({"in-flight joins", grouped(inflight_joins_->value())});
+  table.add_row({"cached %", format_fixed(cached_pct, 2)});
+  table.add_row({"store records loaded",
+                 grouped(store_ ? store_->loaded().size() : 0)});
+  table.add_row({"store records appended",
+                 grouped(store_ ? store_->appended() : 0)});
+  table.add_row({"traces built", grouped(traces_.builds())});
+  table.add_row({"trace-cache hits", grouped(traces_.hits())});
+  std::ostringstream os;
   os << "evaluation cache decomposition:\n" << table.render();
   return os.str();
 }
 
 void EvalService::flush() {
-  stats();  // refreshes the sampled gauges
+  refresh_gauges();
   if (store_ != nullptr) store_->flush();
 }
 

@@ -13,24 +13,28 @@
 ///     run, a re-invoked bench binary, or tomorrow's campaign reuse every
 ///     configuration any previous run already paid to simulate.
 ///
-/// Backends are pluggable (`eval::Backend`): the cycle simulator is the
-/// default, the hardware proxy and a forest surrogate ride the same memo.
-/// The public request/response/config types live in `eval/api.hpp` (shared
-/// with the socket client); `adse::serve` wraps this class in a daemon so
-/// the memo, store and surrogates are shared across processes.
+/// Every request — plain or routed, one or a campaign's thousands — takes
+/// one pipeline: resolve and claim against the memo, group the claims by
+/// (app, VL) into engine passes, run them on the pool, join what another
+/// caller is running. Model failures come back as data (`EvalStatus`), not
+/// as exceptions. The backend is pluggable (`eval::Backend`); the cycle
+/// simulator is the default. The public request/response/config types live
+/// in `eval/api.hpp` (shared with the socket client); `adse::serve` wraps
+/// this class in a daemon so the memo, store and surrogate are shared
+/// across processes.
 ///
 /// Observability: the service's cache/dedup counters are `obs::Registry`
 /// metrics (the shared service reports into the global registry; hermetic
-/// services get a private one), each batch and each fresh backend run is a
-/// trace span, and `stats()` snapshots everything into `EvalStats`.
+/// services get a private one), and each batch and each engine pass is a
+/// trace span.
 
 #include <array>
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -40,7 +44,6 @@
 #include "config/cpu_config.hpp"
 #include "eval/api.hpp"
 #include "eval/backend.hpp"
-#include "eval/eval_stats.hpp"
 #include "eval/fused.hpp"
 #include "eval/result_store.hpp"
 #include "eval/trace_cache.hpp"
@@ -60,26 +63,25 @@ class EvalService final : public Evaluator {
 
   std::size_t threads() const { return pool_.size(); }
 
-  /// The built-in backends (callers may also bring their own).
+  /// The built-in backend (callers may also bring their own).
   const Backend& simulator() const { return simulator_; }
-  const Backend& hardware_proxy() const { return proxy_; }
 
-  /// Evaluates a batch across the pool; results come back in request order.
-  /// Duplicate requests — within the batch, across concurrent batches, or
-  /// against history — collapse onto a single backend run.
+  /// Evaluates a batch; results come back in request order. Duplicate
+  /// requests — within the batch, across concurrent batches, or against
+  /// history — collapse onto a single backend run. Never throws a model
+  /// InvariantError: a request whose run fails alone comes back with
+  /// `EvalStatus::kBackendError` and the message in `error`, and leaves no
+  /// memo entry, so replaying it re-runs (and re-fails) deterministically.
   ///
-  /// The policy is the one entry point for both the plain and the routed
-  /// path (the old `evaluate_routed`): with `policy.fused` null (or its
-  /// threshold <= 0) every request runs on `policy.backend` (default: the
-  /// cycle simulator) bit-identically; with a routing model set, requests
-  /// whose `allow_surrogate` flag is on are gated per-round on the model's
-  /// predictive spread (DESIGN.md §14) — confident ones are answered with
-  /// the gate's prediction (memoised per model, never persisted), the rest
-  /// (plus every probe_every-th eligible candidate, re-simulated to price
-  /// the error in "eval.routing_error_pct") run for real and feed the
-  /// model. Counters:
-  /// "eval.routed_surrogate", "eval.routed_sim", "eval.fused_probes",
-  /// "eval.residual_refits".
+  /// With `policy.fused` null (or its threshold <= 0) every request runs on
+  /// `policy.backend` (default: the cycle simulator) bit-identically; with a
+  /// routing model set, requests whose `allow_surrogate` flag is on are
+  /// gated per-round on the model's predictive spread (DESIGN.md §14) —
+  /// confident ones are answered with the gate's prediction (memoised per
+  /// model, never persisted), the rest (plus every probe_every-th eligible
+  /// candidate, re-simulated to price the error in "eval.routing_error_pct")
+  /// run for real and feed the model. Counters: "eval.routed_surrogate",
+  /// "eval.routed_sim", "eval.fused_probes", "eval.residual_refits".
   std::vector<EvalResponse> evaluate(std::span<const EvalRequest> requests,
                                      const EvalPolicy& policy);
 
@@ -89,19 +91,6 @@ class EvalService final : public Evaluator {
       std::span<const EvalRequest> requests) override {
     return evaluate(requests, EvalPolicy{});
   }
-
-  /// Single-request form; runs on the calling thread (no pool hop).
-  EvalResponse evaluate_one(const EvalRequest& request,
-                            const Backend* backend = nullptr);
-
-  /// evaluate_one with model-invariant failures carried as data instead of
-  /// unwinding a whole batch: the check fuzzer probes hostile corners of
-  /// the design space where a violation is the *signal*, not an abort. A
-  /// failed request comes back with `status == EvalStatus::kBackendError`
-  /// and the InvariantError message in `error`; it leaves no memo entry, so
-  /// replaying it deterministically re-fails.
-  EvalResponse evaluate_checked(const EvalRequest& request,
-                                const Backend* backend = nullptr);
 
   /// Shared trace cache (traces depend only on app and vector length).
   const isa::Program& trace(kernels::App app, int vl) {
@@ -115,19 +104,12 @@ class EvalService final : public Evaluator {
     pool_.parallel_for(count, fn);
   }
 
-  /// Snapshot of the cache/dedup counters. The live counters are obs
-  /// registry metrics ("eval.requests", "eval.backend_runs", ...); this
-  /// reads them into the plain EvalStats block, and refreshes the service's
-  /// pool/store gauges as a side effect.
-  EvalStats stats() const;
-
   /// The greppable one-line cache summary ("[eval] fresh simulator runs:
   /// ..."), read straight from the registry counters. Byte-stable: CI's
   /// cache-reuse smoke greps its prefix.
   std::string summary_line() const;
 
-  /// The human-readable cache-decomposition table (registry-backed
-  /// replacement for the old sim::render_eval_stats(EvalStats) shim path).
+  /// The human-readable cache-decomposition table, read from the registry.
   std::string cache_table() const;
 
   /// The registry this service reports into (its own unless ServiceConfig
@@ -136,7 +118,8 @@ class EvalService final : public Evaluator {
 
   /// Flushes persistent state (the result store syncs per-append already;
   /// this fsync-like hook exists for the daemon's drain path) and refreshes
-  /// the sampled gauges.
+  /// the sampled pool/store gauges, so a registry snapshot taken after it
+  /// reflects them.
   void flush();
 
   /// The process-wide service: ServiceConfig::from_env() knobs, persistent
@@ -162,21 +145,18 @@ class EvalService final : public Evaluator {
   };
 
   /// One memoised evaluation. unordered_map nodes are address-stable, so a
-  /// slot reference survives the shard lock being dropped; `done` flips
-  /// (release) only after the stat blocks are written, and readers check it
-  /// with acquire before touching them.
+  /// slot pointer survives the shard lock being dropped.
   ///
   /// `state` (guarded by the shard mutex) is the claim latch: a request
-  /// finding kEmpty flips it to kRunning and owns the backend run — scalar
-  /// callers run inline, the batched dispatcher claims many slots and runs
-  /// them as one engine pass. Waiters block on the shard condition variable
-  /// until kDone. A failed run reverts to kEmpty (and wakes waiters, one of
-  /// which re-claims), so a violating request leaves no memo entry — the
-  /// behaviour evaluate_checked and the check fuzzer rely on.
+  /// finding kEmpty flips it to kRunning and owns the backend run; others
+  /// block on the shard condition variable until kDone. A failed run reverts
+  /// to kEmpty (and wakes waiters, one of which re-claims), so a failing
+  /// request leaves no memo entry. The stat blocks are written before the
+  /// flip to kDone and never change after it, so a reader that saw kDone
+  /// under the lock may copy them without it.
   struct Slot {
     enum class State : std::uint8_t { kEmpty, kRunning, kDone };
     State state = State::kEmpty;
-    std::atomic<bool> done{false};
     bool from_store = false;
     core::CoreStats core;
     mem::MemStats mem;
@@ -191,53 +171,65 @@ class EvalService final : public Evaluator {
 
   static constexpr std::size_t kNumShards = 16;
 
+  /// A request's memo entry, held by the pipeline between claim and answer.
+  struct Claim {
+    std::size_t index;  ///< position in the batch
+    Shard* shard;
+    const MemoKey* key;  ///< the entry's key, address-stable like its slot
+    Slot* slot;
+  };
+
+  /// Answers a chunk of a batch's requests — the members, which share an app
+  /// and vector length — with one result per member, in member order.
+  using ChunkRunner = std::function<std::vector<sim::RunResult>(
+      std::span<const EvalRequest> batch, std::span<const std::size_t> members)>;
+
   Shard& shard_for(const MemoKey& key);
 
   MemoKey make_key(const EvalRequest& request, std::uint64_t tag) const;
 
-  /// Serves `out` from a finished slot, attributing the hit. Caller ensures
-  /// the slot is done (acquire-loaded or seen kDone under the shard lock).
+  /// Serves `out` from a finished slot, attributing the hit.
   void fill_from_slot(const EvalRequest& request, const Slot& slot,
                       ResultSource source, EvalResponse& out);
 
-  /// Resolves a request whose slot was not done when probed: joins a run
-  /// in flight (kInflight), or claims the slot and answers it with `run()`
-  /// on the calling thread (kBackend; persisted when `persist`). A failed
-  /// run reverts the claim, so it leaves no memo entry.
-  EvalResponse join(const EvalRequest& request, const MemoKey& key,
-                    bool persist, const std::function<sim::RunResult()>& run);
+  /// The one evaluation pipeline (DESIGN.md §8): resolve and claim every
+  /// request against the memo under `tag`; group the claims by (app, VL)
+  /// into chunks of at most batch_k lanes; run the chunks through `run` on
+  /// the pool (a single chunk inline); join the requests whose slots another
+  /// caller is running. A chunk that throws InvariantError is reverted: a
+  /// one-lane chunk's request fails with kBackendError, the members of a
+  /// wider one are re-claimed and run alone in the join step. Fresh answers
+  /// are persisted when `persist`.
+  std::vector<EvalResponse> run_pipeline(std::span<const EvalRequest> requests,
+                                         std::uint64_t tag, bool persist,
+                                         const ChunkRunner& run,
+                                         const Progress& progress);
 
-  /// One request through the memo on the calling thread: a done slot is
-  /// served as a hit, anything else goes to join(). `run` is a callable
-  /// returning sim::RunResult.
-  template <typename Run>
-  EvalResponse serve_one(const EvalRequest& request, const MemoKey& key,
-                         bool persist, const Run& run);
+  /// Runs `claims` as one chunk and publishes the answers into `out`
+  /// (indexed by Claim::index). If `run` throws InvariantError, reverts
+  /// every claim and returns the message instead.
+  std::optional<std::string> run_chunk(std::span<const EvalRequest> requests,
+                                       std::span<const Claim> claims,
+                                       bool persist, const ChunkRunner& run,
+                                       std::span<EvalResponse> out);
 
-  /// The plain (non-routed) batch path behind evaluate().
-  std::vector<EvalResponse> evaluate_plain(std::span<const EvalRequest> requests,
-                                           const Backend* backend,
-                                           const Progress& progress);
+  /// The ChunkRunner that runs members on `backend` with their app's trace.
+  ChunkRunner backend_runner(const Backend& backend);
 
   /// The uncertainty-gated routing policy (DESIGN.md §14) behind
   /// evaluate() when a fused model is supplied.
-  std::vector<EvalResponse> evaluate_routed(std::span<const EvalRequest> requests,
-                                            FusedModel& model,
-                                            const Backend* sim_backend,
-                                            const Progress& progress);
+  std::vector<EvalResponse> evaluate_routed(
+      std::span<const EvalRequest> requests, FusedModel& model,
+      const Backend& sim, const Progress& progress);
 
-  /// The batched dispatch path: groups claimable fresh requests by
-  /// (app, VL), chunks them into `k`-lane batches, and runs each chunk
-  /// through Backend::run_batch on the pool.
-  std::vector<EvalResponse> evaluate_batched(std::span<const EvalRequest> requests,
-                                             const Backend& backend, int k,
-                                             const Progress& progress);
+  /// Samples the pool and store gauges into the registry.
+  void refresh_gauges() const;
 
   ServiceConfig options_;
   /// Present only when options_.registry was null (hermetic service).
   std::unique_ptr<obs::Registry> own_metrics_;
   obs::Registry* metrics_;
-  // Cached registry metrics — the single source of truth EvalStats reads.
+  // Cached registry metrics — the single source of truth for every report.
   obs::Counter* requests_;
   obs::Counter* backend_runs_;
   obs::Counter* memo_hits_;
@@ -255,12 +247,11 @@ class EvalService final : public Evaluator {
   obs::Gauge* store_loaded_;
   obs::Gauge* store_appended_;
   ThreadPool pool_;
-  /// Batch width ceiling (ServiceConfig::batch_k, env-inherited when 0);
-  /// <= 1 keeps every request on the scalar path.
+  /// Lanes per chunk (ServiceConfig::batch_k, env-inherited when 0); <= 1
+  /// runs one lane per chunk.
   int batch_k_;
   TraceCache traces_;
   SimulatorBackend simulator_;
-  HardwareProxyBackend proxy_;
   std::unique_ptr<ResultStore> store_;
   std::array<Shard, kNumShards> shards_;
 };

@@ -1,6 +1,8 @@
 #include "eval/wire.hpp"
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "eval/result_store.hpp"
 
@@ -19,6 +21,29 @@ std::uint64_t fnv1a(const void* data, std::size_t n,
     hash *= kFnvPrime;
   }
   return hash;
+}
+
+/// True if `features` survive config_from_features' casts: every feature is
+/// finite, and every one but the four real-valued clocks/latency is an
+/// integer within int range (a cast of anything else is undefined).
+bool castable(const std::array<double, config::kNumParams>& features) {
+  using config::ParamId;
+  for (std::size_t p = 0; p < features.size(); ++p) {
+    const double f = features[p];
+    if (!std::isfinite(f)) return false;
+    const auto id = static_cast<ParamId>(p);
+    if (id == ParamId::kL1Clock || id == ParamId::kL2Clock ||
+        id == ParamId::kRamLatency || id == ParamId::kRamClock) {
+      continue;
+    }
+    // The range test comes first: it makes the cast below defined.
+    if (f < std::numeric_limits<int>::min() ||
+        f > std::numeric_limits<int>::max() ||
+        static_cast<double>(static_cast<int>(f)) != f) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
@@ -179,12 +204,14 @@ bool decode_request(std::string_view payload, EvalRequest& out) {
   for (double& f : features) {
     if (!r.get_double(f)) return false;
   }
-  if (!r.exhausted()) return false;
+  if (!r.exhausted() || !castable(features)) return false;
   out.app = static_cast<kernels::App>(app);
   out.allow_surrogate = allow == 1;
   out.config = config::config_from_features(features);
   out.config.name = std::move(name);
-  return true;
+  // An out-of-range design would otherwise reach the engine, which sizes
+  // its caches from the config before anything validates it.
+  return config::is_valid(out.config);
 }
 
 std::string encode_response(const EvalResponse& response) {

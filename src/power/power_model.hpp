@@ -97,8 +97,7 @@ inline constexpr double kCoherenceMsgPj = 6.0;
 /// Per directory lookup at a home slice (CAM/tag probe beside the L2 tags).
 inline constexpr double kDirectoryLookupPj = 2.0;
 
-/// What the model returns for one run. NaN until computed (results loaded
-/// from a pre-power eval store keep the NaN default).
+/// What the model returns for one run. NaN until computed.
 struct PowerResult {
   double dynamic_j = std::numeric_limits<double>::quiet_NaN();
   double leakage_j = std::numeric_limits<double>::quiet_NaN();

@@ -303,7 +303,7 @@ bool Daemon::handle_frame(const std::shared_ptr<Connection>& conn,
       EvalRequest request;
       if (!wire::decode_request(frame.payload, request)) {
         // The frame checksum held, so the stream is intact — reject the
-        // request but keep the connection.
+        // malformed or out-of-range request but keep the connection.
         frames_bad_->add(1);
         send_error(conn, frame.id, EvalStatus::kBadRequest,
                    "malformed request payload");
@@ -355,23 +355,23 @@ void Daemon::worker_loop(std::size_t index) {
 
     const auto started = std::chrono::steady_clock::now();
     EvalResponse response;
-    if (fused_ != nullptr && job.request.allow_surrogate) {
-      // Routed path: FusedModel refits are not thread-safe across workers,
-      // so routed singles serialize on the model mutex. Real-sim time
-      // dwarfs the gate, and surrogate answers are microseconds.
-      try {
-        std::lock_guard<std::mutex> lock(fused_mutex_);
-        eval::EvalPolicy policy;
+    try {
+      const std::span<const EvalRequest> one(&job.request, 1);
+      eval::EvalPolicy policy;
+      std::unique_lock<std::mutex> lock(fused_mutex_, std::defer_lock);
+      if (fused_ != nullptr && job.request.allow_surrogate) {
+        // Routed: FusedModel refits are not thread-safe across workers, so
+        // routed singles serialize on the model mutex. Real-sim time dwarfs
+        // the gate, and surrogate answers are microseconds.
+        lock.lock();
         policy.fused = fused_.get();
-        const std::span<const EvalRequest> one(&job.request, 1);
-        response = service_->evaluate(one, policy).front();
-      } catch (const std::exception& err) {
-        response = EvalResponse{};
-        response.status = EvalStatus::kBackendError;
-        response.error = err.what();
       }
-    } else {
-      response = service_->evaluate_checked(job.request);
+      response = std::move(service_->evaluate(one, policy).front());
+    } catch (const std::exception& err) {
+      // Model failures come back as data; nothing else may end the worker.
+      response = EvalResponse{};
+      response.status = EvalStatus::kInternal;
+      response.error = err.what();
     }
     requests_served_->add(1);
     request_ns_->observe(static_cast<double>(

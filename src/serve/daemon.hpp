@@ -15,7 +15,7 @@
 ///
 /// Requests are sharded to worker `wire::request_shard_hash(r) % N`, so
 /// identical configs from different clients serialize on one worker and
-/// coalesce on the service's once-latch memo — M clients asking for the same
+/// coalesce on the service's claim-latch memo — M clients asking for the same
 /// point cost exactly one backend run, same guarantee as in-process callers.
 /// Responses are written back on the worker thread under a per-connection
 /// write lock (readers never block on evaluations).

@@ -21,6 +21,10 @@ std::vector<RunResult> simulate_lanes(
                        << decoded.size() << " vs " << program.ops.size()
                        << " ops");
 
+  // Validate every lane before building anything: a hierarchy is sized from
+  // its config, so an out-of-range one could ask for an absurd allocation.
+  for (const config::CpuConfig& config : configs) config::validate(config);
+
   // One hierarchy per lane: the cache/DRAM state is per-config (line sizes
   // and capacities differ), only the trace is shared.
   std::deque<mem::MemoryHierarchy> hierarchies;

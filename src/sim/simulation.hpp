@@ -23,8 +23,7 @@ struct RunResult {
   std::string config_name;
   core::CoreStats core;
   mem::MemStats mem;
-  /// Analytical power/area for this run (adse::power). NaN for results
-  /// loaded from a pre-power (v1) eval store.
+  /// Analytical power/area for this run (adse::power).
   power::PowerResult power;
 
   std::uint64_t cycles() const { return core.cycles; }

@@ -19,10 +19,4 @@ std::string render_stats(const RunResult& result);
 /// One-line summary ("stream on thunderx2: 80,718 cycles, IPC 1.10, ...").
 std::string summarize(const RunResult& result);
 
-// The eval-service renderers (render_eval_stats / summarize_eval) moved to
-// the service itself — `EvalService::cache_table()` / `summary_line()` —
-// which read the obs registry directly instead of going through the
-// EvalStats shim. The "[eval] fresh simulator runs:" line is byte-stable
-// across the move.
-
 }  // namespace adse::sim

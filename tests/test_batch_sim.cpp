@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -130,6 +131,24 @@ TEST(BatchSim, MixedVectorLengthBatchRejects) {
                                          sampled_config(4, 512)};
   const isa::Program trace = kernels::build_app(kernels::App::kStream, 128);
   EXPECT_THROW(sim::simulate_batch(configs, trace), InvariantError);
+}
+
+TEST(BatchSim, InvalidLaneIsRejectedBeforeAnythingIsBuilt) {
+  // A zero-way L1 is caught by config validation (which names the field)
+  // before the lane's hierarchy is sized from it (whose own check would
+  // complain about associativity instead).
+  std::vector<config::CpuConfig> configs{config::thunderx2_baseline(),
+                                         config::thunderx2_baseline()};
+  configs[1].mem.l1_assoc = 0;
+  const isa::Program trace = kernels::build_app(
+      kernels::App::kStream, configs[0].core.vector_length_bits);
+  try {
+    sim::simulate_batch(configs, trace);
+    FAIL() << "an invalid lane must be rejected";
+  } catch (const InvariantError& err) {
+    EXPECT_NE(std::string(err.what()).find("l1_assoc"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(BatchSim, EarlyLaneRetirementCompactsTheBatch) {

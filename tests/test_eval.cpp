@@ -10,13 +10,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "config/baselines.hpp"
 #include "config/param_space.hpp"
 #include "eval/fused.hpp"
 #include "eval/result_store.hpp"
 #include "eval/trace_cache.hpp"
-#include "ml/forest.hpp"
 #include "power/power_model.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats_report.hpp"
@@ -24,26 +24,29 @@
 namespace adse::eval {
 namespace {
 
-/// Deterministic fake backend that counts how many times it actually runs —
+/// Deterministic fake backend that counts how many lanes it actually runs —
 /// the probe for the service's dedup guarantees.
 class CountingBackend final : public Backend {
  public:
   explicit CountingBackend(std::string key = "mock") : key_(std::move(key)) {}
 
   const std::string& key() const override { return key_; }
-  bool needs_trace() const override { return false; }
 
-  sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program&) const override {
-    runs_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<sim::RunResult> run_batch(
+      std::span<const config::CpuConfig> configs, kernels::App app,
+      const isa::Program&) const override {
+    runs_.fetch_add(configs.size(), std::memory_order_relaxed);
     // Widen the race window so concurrent identical requests really overlap.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    sim::RunResult result;
-    result.core.cycles = 1000 + static_cast<std::uint64_t>(app) * 10 +
-                         static_cast<std::uint64_t>(config.core.rob_size);
-    result.core.retired = 17;
-    result.mem.l1_hits = 5;
-    return result;
+    std::vector<sim::RunResult> results(configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      results[i].core.cycles =
+          1000 + static_cast<std::uint64_t>(app) * 10 +
+          static_cast<std::uint64_t>(configs[i].core.rob_size);
+      results[i].core.retired = 17;
+      results[i].mem.l1_hits = 5;
+    }
+    return results;
   }
 
   std::uint64_t runs() const { return runs_.load(); }
@@ -58,11 +61,32 @@ EvalRequest stream_request() {
 }
 
 /// Hermetic service options: explicit thread count, optional on-disk store.
-EvalOptions hermetic(int threads, std::string store_path = {}) {
-  EvalOptions options;
+ServiceConfig hermetic(int threads, std::string store_path = {}) {
+  ServiceConfig options;
   options.threads = threads;
   options.store_path = std::move(store_path);
   return options;
+}
+
+/// One request through the service's pipeline, on `backend` (default: the
+/// cycle simulator).
+EvalResponse evaluate_alone(EvalService& service, const EvalRequest& request,
+                          const Backend* backend = nullptr) {
+  EvalPolicy policy;
+  policy.backend = backend;
+  return service.evaluate({&request, 1}, policy).front();
+}
+
+/// A registry counter of `service` ("eval.backend_runs", ...).
+std::uint64_t count(const EvalService& service, const char* name) {
+  return service.metrics().counter(name).value();
+}
+
+/// A sampled store gauge of `service` ("eval.store_appended", ...),
+/// refreshed first.
+std::uint64_t store_gauge(EvalService& service, const char* name) {
+  service.flush();
+  return static_cast<std::uint64_t>(service.metrics().gauge(name).value());
 }
 
 TEST(EvalService, ConcurrentIdenticalRequestsRunBackendOnce) {
@@ -71,27 +95,28 @@ TEST(EvalService, ConcurrentIdenticalRequestsRunBackendOnce) {
   const EvalRequest request = stream_request();
 
   constexpr int kThreads = 8;
-  std::vector<EvalResult> results(kThreads);
+  std::vector<EvalResponse> results(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       results[static_cast<std::size_t>(t)] =
-          service.evaluate_one(request, &backend);
+          evaluate_alone(service, request, &backend);
     });
   }
   for (auto& thread : threads) thread.join();
 
   EXPECT_EQ(backend.runs(), 1u);
-  for (const EvalResult& r : results) {
+  for (const EvalResponse& r : results) {
     EXPECT_EQ(r.cycles(), results.front().cycles());
     EXPECT_EQ(r.run.core.retired, 17u);
     EXPECT_EQ(r.run.app, "stream");
     EXPECT_EQ(r.run.config_name, request.config.name);
   }
-  const EvalStats stats = service.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kThreads));
-  EXPECT_EQ(stats.backend_runs, 1u);
-  EXPECT_EQ(stats.memo_hits + stats.inflight_joins,
+  EXPECT_EQ(count(service, "eval.requests"),
+            static_cast<std::uint64_t>(kThreads));
+  EXPECT_EQ(count(service, "eval.backend_runs"), 1u);
+  EXPECT_EQ(count(service, "eval.memo_hits") +
+                count(service, "eval.inflight_joins"),
             static_cast<std::uint64_t>(kThreads - 1));
 }
 
@@ -105,7 +130,7 @@ TEST(EvalService, BatchDuplicatesCollapse) {
   const auto results = service.evaluate(requests, policy);
   ASSERT_EQ(results.size(), 12u);
   EXPECT_EQ(backend.runs(), 1u);
-  for (const EvalResult& r : results) {
+  for (const EvalResponse& r : results) {
     EXPECT_EQ(r.cycles(), results.front().cycles());
   }
 }
@@ -114,8 +139,10 @@ TEST(EvalService, MemoServesRepeats) {
   EvalService service(hermetic(1));
   CountingBackend backend;
 
-  const EvalResult first = service.evaluate_one(stream_request(), &backend);
-  const EvalResult again = service.evaluate_one(stream_request(), &backend);
+  const EvalResponse first =
+      evaluate_alone(service, stream_request(), &backend);
+  const EvalResponse again =
+      evaluate_alone(service, stream_request(), &backend);
   EXPECT_EQ(first.source, ResultSource::kBackend);
   EXPECT_EQ(again.source, ResultSource::kMemo);
   EXPECT_EQ(again.cycles(), first.cycles());
@@ -129,12 +156,12 @@ TEST(EvalService, DistinctPointsAndBackendsDoNotAlias) {
 
   EvalRequest stream = stream_request();
   EvalRequest bude{config::thunderx2_baseline(), kernels::App::kMiniBude};
-  service.evaluate_one(stream, &a);
-  service.evaluate_one(bude, &a);   // different app: fresh run
-  service.evaluate_one(stream, &b); // different backend: fresh run
+  evaluate_alone(service, stream, &a);
+  evaluate_alone(service, bude, &a);   // different app: fresh run
+  evaluate_alone(service, stream, &b); // different backend: fresh run
   EXPECT_EQ(a.runs(), 2u);
   EXPECT_EQ(b.runs(), 1u);
-  EXPECT_EQ(service.stats().backend_runs, 3u);
+  EXPECT_EQ(count(service, "eval.backend_runs"), 3u);
 }
 
 TEST(EvalService, MatchesDirectSimulation) {
@@ -142,7 +169,7 @@ TEST(EvalService, MatchesDirectSimulation) {
   const config::CpuConfig cpu = config::thunderx2_baseline();
 
   const sim::RunResult direct = sim::simulate_app(cpu, kernels::App::kStream);
-  const EvalResult served = service.evaluate_one(stream_request());
+  const EvalResponse served = evaluate_alone(service, stream_request());
   EXPECT_EQ(served.run.core.cycles, direct.core.cycles);
   EXPECT_EQ(served.run.core.retired, direct.core.retired);
   EXPECT_EQ(served.run.mem.l1_hits, direct.mem.l1_hits);
@@ -151,7 +178,7 @@ TEST(EvalService, MatchesDirectSimulation) {
   EXPECT_EQ(served.run.config_name, direct.config_name);
 
   // A memo hit reproduces the same result, labels included.
-  const EvalResult memo = service.evaluate_one(stream_request());
+  const EvalResponse memo = evaluate_alone(service, stream_request());
   EXPECT_EQ(memo.source, ResultSource::kMemo);
   EXPECT_EQ(memo.run.core.cycles, direct.core.cycles);
   EXPECT_EQ(memo.run.app, direct.app);
@@ -166,8 +193,8 @@ TEST(EvalService, StoreReuseAcrossServices) {
   CountingBackend first_backend;
   {
     EvalService service(hermetic(1, store));
-    service.evaluate_one(stream_request(), &first_backend);
-    EXPECT_EQ(service.stats().store_appended, 1u);
+    evaluate_alone(service, stream_request(), &first_backend);
+    EXPECT_EQ(store_gauge(service, "eval.store_appended"), 1u);
   }
   EXPECT_EQ(first_backend.runs(), 1u);
 
@@ -175,54 +202,15 @@ TEST(EvalService, StoreReuseAcrossServices) {
   // backend runs, identical counters.
   CountingBackend second_backend;
   EvalService warm(hermetic(1, store));
-  const EvalResult served = warm.evaluate_one(stream_request(), &second_backend);
+  const EvalResponse served =
+      evaluate_alone(warm, stream_request(), &second_backend);
   EXPECT_EQ(served.source, ResultSource::kStore);
   EXPECT_EQ(second_backend.runs(), 0u);
   EXPECT_EQ(served.run.core.retired, 17u);
   EXPECT_EQ(served.run.mem.l1_hits, 5u);
-  const EvalStats stats = warm.stats();
-  EXPECT_EQ(stats.store_loaded, 1u);
-  EXPECT_EQ(stats.store_hits, 1u);
-  EXPECT_EQ(stats.backend_runs, 0u);
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(EvalService, SurrogateBackendIsNotPersisted) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_eval_surr";
-  std::filesystem::remove_all(dir);
-  const std::string store = (dir / "eval_store.bin").string();
-
-  // Tiny forests fitted on two synthetic points, targets in log(cycles).
-  ml::Dataset data;
-  for (std::size_t f = 0; f < config::kNumParams; ++f) {
-    data.feature_names.push_back("f" + std::to_string(f));
-  }
-  const auto lo = config::feature_vector(config::thunderx2_baseline());
-  const auto hi = config::feature_vector(config::a64fx_like());
-  data.add_row({lo.begin(), lo.end()}, std::log(50000.0));
-  data.add_row({hi.begin(), hi.end()}, std::log(90000.0));
-
-  ml::ForestOptions options;
-  options.num_trees = 3;
-  std::array<ml::RandomForestRegressor, kernels::kNumApps> forests{
-      ml::RandomForestRegressor(options), ml::RandomForestRegressor(options),
-      ml::RandomForestRegressor(options), ml::RandomForestRegressor(options)};
-  for (auto& forest : forests) forest.fit(data);
-  const SurrogateForestBackend surrogate(std::move(forests), true);
-  EXPECT_FALSE(surrogate.persistable());
-  EXPECT_FALSE(surrogate.needs_trace());
-
-  EvalService service(hermetic(1, store));
-  const EvalResult predicted =
-      service.evaluate_one(stream_request(), &surrogate);
-  EXPECT_GE(predicted.cycles(), 1u);
-  EXPECT_EQ(predicted.source, ResultSource::kBackend);
-  // Model output must never reach the on-disk store.
-  EXPECT_EQ(service.stats().store_appended, 0u);
-  // But it is memoised like any other backend.
-  EXPECT_EQ(service.evaluate_one(stream_request(), &surrogate).source,
-            ResultSource::kMemo);
+  EXPECT_EQ(store_gauge(warm, "eval.store_loaded"), 1u);
+  EXPECT_EQ(count(warm, "eval.store_hits"), 1u);
+  EXPECT_EQ(count(warm, "eval.backend_runs"), 0u);
 
   std::filesystem::remove_all(dir);
 }
@@ -273,32 +261,33 @@ TEST(EvalService, RoutedSurrogateAnswersAreNotPersisted) {
 
   {
     EvalService service(hermetic(1, store));
-    const EvalResult predicted = service.evaluate(request, routed)[0];
+    const EvalResponse predicted = service.evaluate(request, routed)[0];
     EXPECT_GE(predicted.cycles(), 1u);
     EXPECT_EQ(predicted.source, ResultSource::kBackend);
     EXPECT_EQ(service.metrics().counter("eval.routed_surrogate").value(), 1u);
     // Model output must never reach the on-disk store.
-    EXPECT_EQ(service.stats().store_appended, 0u);
+    EXPECT_EQ(store_gauge(service, "eval.store_appended"), 0u);
     // But it is memoised like any backend's answer.
     EXPECT_EQ(service.evaluate(request, routed)[0].source,
               ResultSource::kMemo);
     // A real simulator run of the very same point IS persisted — the store
     // now holds this (config, app) under the simulator's key only.
-    service.evaluate_one(stream_request());
-    EXPECT_EQ(service.stats().store_appended, 1u);
+    evaluate_alone(service, stream_request());
+    EXPECT_EQ(store_gauge(service, "eval.store_appended"), 1u);
   }
 
   // The warm store must not satisfy surrogate keys: the same routed request
   // is answered by the model afresh instead of aliasing the persisted
   // simulator record.
   EvalService warm(hermetic(1, store));
-  EXPECT_EQ(warm.stats().store_loaded, 1u);
-  const EvalResult served = warm.evaluate(request, routed)[0];
+  EXPECT_EQ(store_gauge(warm, "eval.store_loaded"), 1u);
+  const EvalResponse served = warm.evaluate(request, routed)[0];
   EXPECT_EQ(served.source, ResultSource::kBackend);
   EXPECT_EQ(warm.metrics().counter("eval.routed_surrogate").value(), 1u);
-  EXPECT_EQ(warm.stats().store_hits, 0u);
+  EXPECT_EQ(count(warm, "eval.store_hits"), 0u);
   // While the simulator-keyed request still hits the disk record.
-  EXPECT_EQ(warm.evaluate_one(stream_request()).source, ResultSource::kStore);
+  EXPECT_EQ(evaluate_alone(warm, stream_request()).source,
+            ResultSource::kStore);
 
   std::filesystem::remove_all(dir);
 }
@@ -320,12 +309,12 @@ TEST(EvalService, SurrogateAnswersAreMemoisedPerModel) {
   for (FusedModel* model : {&low, &high}) {
     EvalPolicy routed;
     routed.fused = model;
-    const EvalResult answer = service.evaluate(request, routed)[0];
+    const EvalResponse answer = service.evaluate(request, routed)[0];
     EXPECT_EQ(answer.source, ResultSource::kBackend);
     EXPECT_EQ(answer.cycles(),
               served_cycles(model->predict(kernels::App::kStream, config)));
   }
-  EXPECT_EQ(service.stats().backend_runs, 2u);
+  EXPECT_EQ(count(service, "eval.backend_runs"), 2u);
 }
 
 TEST(EvalService, RoutedEvaluationGatesOnResidualSpread) {
@@ -405,10 +394,20 @@ class FormulaBackend final : public Backend {
     static const std::string k = "formula";
     return k;
   }
-  bool needs_trace() const override { return false; }
 
-  sim::RunResult run(const config::CpuConfig& config, kernels::App app,
-                     const isa::Program&) const override {
+  std::vector<sim::RunResult> run_batch(
+      std::span<const config::CpuConfig> configs, kernels::App app,
+      const isa::Program&) const override {
+    std::vector<sim::RunResult> results;
+    for (const config::CpuConfig& config : configs) {
+      results.push_back(answer(config, app));
+    }
+    return results;
+  }
+
+  /// The answer one lane gets.
+  static sim::RunResult answer(const config::CpuConfig& config,
+                               kernels::App app) {
     Rng wobble(static_cast<std::uint64_t>(config.core.rob_size) * 7919 +
                static_cast<std::uint64_t>(config.core.vector_length_bits) *
                    31 +
@@ -516,7 +515,7 @@ TEST(EvalService, RefitInsideARoundRePredictsOnlyThatApp) {
       const config::CpuConfig config = space.sample(rng);
       model.observe(app, config,
                     static_cast<double>(
-                        sim.run(config, app, isa::Program{}).core.cycles));
+                        FormulaBackend::answer(config, app).core.cycles));
     }
   };
   observe(kernels::App::kStream, 16);
@@ -570,10 +569,9 @@ TEST(FusedModel, ConcurrentPredictionsMatchSequential) {
   options.min_observations = 16;
   FusedModel sequential(options);
   FusedModel concurrent(options);
-  FormulaBackend sim;
   for (const EvalRequest& request : sampled_requests(64, 3)) {
     const double cycles = static_cast<double>(
-        sim.run(request.config, request.app, isa::Program{}).core.cycles);
+        FormulaBackend::answer(request.config, request.app).core.cycles);
     sequential.observe(request.app, request.config, cycles);
     concurrent.observe(request.app, request.config, cycles);
   }
@@ -614,137 +612,104 @@ TEST(FusedModel, ConcurrentPredictionsMatchSequential) {
   }
 }
 
-// --- store format compatibility ---------------------------------------------
+/// Fails any chunk carrying the marker design, the way a model
+/// InvariantError aborts a whole engine pass; other lanes get the formula
+/// answer. Counts the lanes it is handed.
+class MarkerBackend final : public Backend {
+ public:
+  static constexpr int kMarkerRob = 99;
 
-StoreRecord sample_record(int app, double feature0, std::uint64_t cycles) {
-  StoreRecord r;
-  r.backend_tag = ResultStore::tag("sim");
-  r.app = app;
-  r.features = config::feature_vector(config::thunderx2_baseline());
-  r.features[0] = feature0;
-  r.core.cycles = cycles;
-  r.core.retired = 42;
-  r.core.sve_lane_ops = 7;  // v2-only counter: dropped by a v1 writer
-  r.mem.l1_hits = 9;
-  r.mem.l1_reads = 6;  // v2-only counter
-  r.power.dynamic_j = 1.5e-6;
-  r.power.leakage_j = 2.5e-7;
-  r.power.area_mm2 = 3.25;
-  return r;
-}
-
-TEST(ResultStoreCompat, V1FilesLoadCleanlyWithNanPower) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_store_v1";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "eval_store.bin").string();
-
-  ResultStore::write_legacy_v1(path,
-                               {sample_record(0, 128, 1000),
-                                sample_record(1, 256, 2000)});
-
-  ResultStore store(path);
-  ASSERT_EQ(store.loaded().size(), 2u);
-  const StoreRecord& a = store.loaded()[0];
-  EXPECT_EQ(a.core.cycles, 1000u);
-  EXPECT_EQ(a.core.retired, 42u);
-  EXPECT_EQ(a.mem.l1_hits, 9u);
-  // v2-only counters and the power block do not exist in v1: zeros / NaN.
-  EXPECT_EQ(a.core.sve_lane_ops, 0u);
-  EXPECT_EQ(a.mem.l1_reads, 0u);
-  EXPECT_FALSE(a.power.valid());
-
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStoreCompat, V1StoreMigratesToV2InPlace) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_store_mig";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "eval_store.bin").string();
-
-  ResultStore::write_legacy_v1(path, {sample_record(0, 128, 1000)});
-  { ResultStore migrating(path); }  // open rewrites the file as v2
-
-  // The migrated file must now carry the v2 magic and fixed record size.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  char magic[8] = {};
-  ASSERT_EQ(std::fread(magic, 1, 8, f), 8u);
-  std::fclose(f);
-  EXPECT_EQ(std::string(magic, 8), "ADSEVAL2");
-  // Header = 8-byte magic + 3 uint32 fields; then one fixed-size v2 record.
-  EXPECT_EQ(std::filesystem::file_size(path),
-            8 + 3 * sizeof(std::uint32_t) + ResultStore::record_bytes());
-
-  // And a mixed-version life cycle round-trips: append a v2 record to the
-  // migrated store, reopen, and both generations coexist.
-  {
-    ResultStore store(path);
-    ASSERT_EQ(store.loaded().size(), 1u);
-    EXPECT_FALSE(store.loaded()[0].power.valid());
-    store.append(sample_record(2, 512, 3000));
+  const std::string& key() const override {
+    static const std::string k = "marker";
+    return k;
   }
-  ResultStore reopened(path);
-  ASSERT_EQ(reopened.loaded().size(), 2u);
-  EXPECT_FALSE(reopened.loaded()[0].power.valid());  // migrated, still NaN
-  const StoreRecord& fresh = reopened.loaded()[1];
-  ASSERT_TRUE(fresh.power.valid());
-  EXPECT_DOUBLE_EQ(fresh.power.dynamic_j, 1.5e-6);
-  EXPECT_DOUBLE_EQ(fresh.power.leakage_j, 2.5e-7);
-  EXPECT_DOUBLE_EQ(fresh.power.area_mm2, 3.25);
-  EXPECT_EQ(fresh.core.sve_lane_ops, 7u);
-  EXPECT_EQ(fresh.mem.l1_reads, 6u);
 
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ResultStoreCompat, ServiceRecomputesPowerForMigratedRecords) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_store_pw";
-  std::filesystem::remove_all(dir);
-  const std::string store_path = (dir / "eval_store.bin").string();
-
-  // Warm a v2 store with one real simulation, then strip it back to v1.
-  {
-    EvalService service(hermetic(1, store_path));
-    service.evaluate_one(stream_request());
+  std::vector<sim::RunResult> run_batch(
+      std::span<const config::CpuConfig> configs, kernels::App app,
+      const isa::Program&) const override {
+    lanes_.fetch_add(configs.size());
+    std::vector<sim::RunResult> results;
+    for (const config::CpuConfig& config : configs) {
+      if (config.core.rob_size == kMarkerRob) {
+        throw InvariantError("marker design violates the model");
+      }
+      results.push_back(FormulaBackend::answer(config, app));
+    }
+    return results;
   }
-  std::vector<StoreRecord> records;
-  {
-    ResultStore store(store_path);
-    records = store.loaded();
+
+  std::uint64_t lanes() const { return lanes_.load(); }
+
+ private:
+  mutable std::atomic<std::uint64_t> lanes_{0};
+};
+
+TEST(EvalService, FailedLaneComesBackAsDataOnAnyPoolAndWidth) {
+  // Twelve stream designs sharing one VL, one of them the marker. Whatever
+  // chunk carries the marker fails as a whole; its other members are re-run
+  // alone, so only the marker is answered kBackendError — the same answers
+  // on 1, 2 and 4 pool threads, one lane or eight per chunk.
+  constexpr std::size_t kMarker = 5;
+  std::vector<EvalRequest> requests;
+  for (int i = 0; i < 12; ++i) {
+    EvalRequest request = stream_request();
+    request.config.core.rob_size =
+        i == static_cast<int>(kMarker) ? MarkerBackend::kMarkerRob : 64 + 8 * i;
+    requests.push_back(request);
   }
-  ASSERT_EQ(records.size(), 1u);
-  ASSERT_TRUE(records[0].power.valid());
-  const double true_area = records[0].power.area_mm2;
-  ResultStore::write_legacy_v1(store_path, records);
+  MarkerBackend solo_backend;
+  EvalService solo(hermetic(1));
+  std::vector<EvalResponse> alone;
+  for (const EvalRequest& request : requests) {
+    alone.push_back(evaluate_alone(solo, request, &solo_backend));
+  }
 
-  // A service warming from the v1 file serves the run with power
-  // recomputed: area/leakage are exact functions of config and cycles.
-  EvalService warm(hermetic(1, store_path));
-  const EvalResult served = warm.evaluate_one(stream_request());
-  EXPECT_EQ(served.source, ResultSource::kStore);
-  ASSERT_TRUE(served.run.power.valid());
-  EXPECT_DOUBLE_EQ(served.run.power.area_mm2, true_area);
-  EXPECT_GT(served.run.power.leakage_j, 0.0);
+  for (const int threads : {1, 2, 4}) {
+    for (const int batch_k : {1, 8}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", batch_k " +
+                   std::to_string(batch_k));
+      ServiceConfig options = hermetic(threads);
+      options.batch_k = batch_k;
+      EvalService service(options);
+      MarkerBackend backend;
+      EvalPolicy policy;
+      policy.backend = &backend;
+      std::vector<EvalResponse> results;
+      ASSERT_NO_THROW(results = service.evaluate(requests, policy));
+      ASSERT_EQ(results.size(), requests.size());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        if (i == kMarker) {
+          EXPECT_EQ(results[i].status, EvalStatus::kBackendError);
+          EXPECT_NE(results[i].error.find("marker design"), std::string::npos)
+              << results[i].error;
+          continue;
+        }
+        ASSERT_TRUE(results[i].ok()) << i << ": " << results[i].error;
+        EXPECT_EQ(results[i].source, ResultSource::kBackend) << i;
+        EXPECT_EQ(results[i].cycles(), alone[i].cycles()) << i;
+        EXPECT_EQ(results[i].run.config_name, alone[i].run.config_name) << i;
+      }
+      EXPECT_EQ(count(service, "eval.backend_runs"), 11u);
 
-  std::filesystem::remove_all(dir);
-}
-
-TEST(EvalService, ProxyKeyEncodesFidelityKnobs) {
-  const HardwareProxyBackend defaults;
-  sim::ProxyOptions tweaked;
-  tweaked.mshr_entries = 4;
-  const HardwareProxyBackend other(tweaked);
-  EXPECT_NE(defaults.key(), other.key());
-  EXPECT_EQ(defaults.key(), HardwareProxyBackend().key());
+      // The failure left no memo entry: a replay re-runs the backend and
+      // re-fails, while the eleven answers are memoised.
+      const std::uint64_t lanes = backend.lanes();
+      const EvalResponse replay =
+          evaluate_alone(service, requests[kMarker], &backend);
+      EXPECT_EQ(replay.status, EvalStatus::kBackendError);
+      EXPECT_EQ(backend.lanes(), lanes + 1);
+      EXPECT_EQ(evaluate_alone(service, requests[0], &backend).source,
+                ResultSource::kMemo);
+    }
+  }
+  EXPECT_EQ(alone[kMarker].status, EvalStatus::kBackendError);
 }
 
 TEST(EvalService, SummaryLineReportsFreshRuns) {
   EvalService service(hermetic(1));
   CountingBackend backend;
-  service.evaluate_one(stream_request(), &backend);
-  service.evaluate_one(stream_request(), &backend);
+  evaluate_alone(service, stream_request(), &backend);
+  evaluate_alone(service, stream_request(), &backend);
   const std::string line = service.summary_line();
   EXPECT_NE(line.find("[eval] fresh simulator runs: 1"), std::string::npos);
   EXPECT_NE(line.find("memo hits: 1"), std::string::npos);
@@ -865,20 +830,38 @@ TEST_F(ResultStoreTest, CorruptRecordStopsLoadAtLastIntact) {
 }
 
 TEST_F(ResultStoreTest, ForeignFileIsReplacedNotTrusted) {
-  std::filesystem::create_directories(dir_);
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("this is not an eval store", f);
-    std::fclose(f);
-  }
-  ResultStore store(path_);
-  EXPECT_TRUE(store.loaded().empty());
-  store.append(record(4));
+  // A foreign file, and a pre-power v1 store (whose format is no longer
+  // read): both are stale, rebuilt empty under the current header.
+  std::string v1("ADSEVAL1", 8);
+  const std::uint32_t v1_fields[3] = {1, config::kNumParams, 8 * 96};
+  v1.append(reinterpret_cast<const char*>(v1_fields), sizeof(v1_fields));
+  v1.append(8 * 96, '\x5a');
+  for (const std::string& contents :
+       {std::string("this is not an eval store"), v1}) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fwrite(contents.data(), 1, contents.size(), f);
+      std::fclose(f);
+    }
+    ResultStore store(path_);
+    EXPECT_TRUE(store.loaded().empty());
+    {
+      std::FILE* f = std::fopen(path_.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      char magic[8] = {};
+      ASSERT_EQ(std::fread(magic, 1, 8, f), 8u);
+      std::fclose(f);
+      EXPECT_EQ(std::string(magic, 8), "ADSEVAL2");
+    }
+    store.append(record(4));
 
-  ResultStore reopened(path_);
-  ASSERT_EQ(reopened.loaded().size(), 1u);
-  EXPECT_EQ(reopened.loaded()[0].core.cycles, record(4).core.cycles);
+    ResultStore reopened(path_);
+    ASSERT_EQ(reopened.loaded().size(), 1u);
+    EXPECT_EQ(reopened.loaded()[0].core.cycles, record(4).core.cycles);
+  }
 }
 
 TEST_F(ResultStoreTest, TagIsStableAndDiscriminates) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -195,6 +196,29 @@ TEST(Wire, RandomPayloadsNeverCrashDecoders) {
   SUCCEED();
 }
 
+TEST(Wire, NonFiniteOrOutOfRangeFeaturesAreRejected) {
+  EvalRequest decoded;
+  EvalRequest nan_clock = stream_request();
+  nan_clock.config.mem.l1_clock_ghz = std::nan("");
+  EXPECT_FALSE(wire::decode_request(wire::encode_request(nan_clock), decoded));
+  EvalRequest huge_l1 = stream_request();
+  huge_l1.config.mem.l1_size_kib = 1 << 30;  // castable, but not a valid design
+  EXPECT_FALSE(wire::decode_request(wire::encode_request(huge_l1), decoded));
+
+  // Features the codec would have to cast to int: non-integral, beyond int
+  // range, infinite. Patched straight into the payload's feature block.
+  const std::string good = wire::encode_request(stream_request());
+  const std::size_t rob =
+      good.size() - 8 * (config::kNumParams -
+                         static_cast<std::size_t>(config::ParamId::kRobSize));
+  for (const double bad : {64.5, 1e12, -1e12, HUGE_VAL}) {
+    std::string payload = good;
+    std::memcpy(payload.data() + rob, &bad, sizeof(bad));
+    EXPECT_FALSE(wire::decode_request(payload, decoded)) << bad;
+  }
+  ASSERT_TRUE(wire::decode_request(good, decoded));
+}
+
 TEST(Wire, IdenticalConfigsShardIdentically) {
   const std::uint64_t a = wire::request_shard_hash(stream_request(64));
   const std::uint64_t b = wire::request_shard_hash(stream_request(64));
@@ -271,7 +295,7 @@ TEST_F(ServeTest, ManyClientsSameConfigCoalesceToOneBackendRun) {
   daemon.start();
 
   // M concurrent clients all asking for the same design point: the shard
-  // hash routes every copy to one worker, whose memo once-latch guarantees
+  // hash routes every copy to one worker, whose memo claim latch guarantees
   // exactly one backend run — the cross-client version of the in-process
   // dedup test.
   constexpr int kClients = 8;
@@ -290,9 +314,10 @@ TEST_F(ServeTest, ManyClientsSameConfigCoalesceToOneBackendRun) {
     ASSERT_TRUE(r.ok()) << r.error;
     EXPECT_EQ(r.cycles(), responses.front().cycles());
   }
-  const eval::EvalStats stats = daemon.service().stats();
-  EXPECT_EQ(stats.backend_runs, 1u);
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kClients));
+  obs::Registry& metrics = daemon.service().metrics();
+  EXPECT_EQ(metrics.counter("eval.backend_runs").value(), 1u);
+  EXPECT_EQ(metrics.counter("eval.requests").value(),
+            static_cast<std::uint64_t>(kClients));
 }
 
 TEST_F(ServeTest, GarbageBytesGetErrorFrameAndDaemonSurvives) {
@@ -338,6 +363,33 @@ TEST_F(ServeTest, GarbageBytesGetErrorFrameAndDaemonSurvives) {
   EXPECT_TRUE(client.evaluate(one).front().ok());
 }
 
+TEST_F(ServeTest, InvalidRequestIsRejectedAndTheConnectionServesOn) {
+  Daemon daemon(daemon_options());
+  daemon.start();
+  ClientOptions options = client_options();
+  options.max_retries = 0;  // a dropped connection would fail, not reconnect
+  EvalClient client(options);
+
+  // A NaN feature and an absurd L1 (2^30 KiB) are refused before anything
+  // is built from them; the same connection then answers a valid request.
+  EvalRequest nan_clock = stream_request();
+  nan_clock.config.mem.l1_clock_ghz = std::nan("");
+  EvalRequest huge_l1 = stream_request();
+  huge_l1.config.mem.l1_size_kib = 1 << 30;
+  for (const EvalRequest& bad : {nan_clock, huge_l1}) {
+    const auto rejected = client.evaluate({&bad, 1});
+    EXPECT_EQ(rejected.front().status, EvalStatus::kBadRequest)
+        << rejected.front().error;
+  }
+  const std::vector<EvalRequest> valid = {stream_request()};
+  const auto answered = client.evaluate(valid);
+  ASSERT_TRUE(answered.front().ok()) << answered.front().error;
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(daemon.service().metrics().counter("serve.connections").value(),
+            1u);
+  EXPECT_EQ(daemon.service().metrics().counter("eval.requests").value(), 1u);
+}
+
 TEST_F(ServeTest, ClientRetriesAcrossDaemonRestartAndWarmStoreServes) {
   const std::string store = (dir_ / "store.bin").string();
 
@@ -368,9 +420,9 @@ TEST_F(ServeTest, ClientRetriesAcrossDaemonRestartAndWarmStoreServes) {
   ASSERT_TRUE(warm[1].ok()) << warm[1].error;
   EXPECT_EQ(warm[0].cycles(), cold[0].cycles());
   EXPECT_EQ(warm[1].cycles(), cold[1].cycles());
-  const eval::EvalStats stats = second.service().stats();
-  EXPECT_EQ(stats.backend_runs, 0u);
-  EXPECT_EQ(stats.store_hits, 2u);
+  obs::Registry& metrics = second.service().metrics();
+  EXPECT_EQ(metrics.counter("eval.backend_runs").value(), 0u);
+  EXPECT_EQ(metrics.counter("eval.store_hits").value(), 2u);
 }
 
 TEST_F(ServeTest, DrainingServerRejectsNewWorkWithDrainingStatus) {
