@@ -33,20 +33,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
-namespace {
-
 using namespace adse;
-
-double mean_pct(const std::vector<analysis::SurrogateEvaluation>& evals,
-                config::ParamId id) {
-  double total = 0.0;
-  for (const auto& eval : evals) {
-    total += eval.importance.percent[static_cast<std::size_t>(id)];
-  }
-  return total / static_cast<double>(evals.size());
-}
-
-}  // namespace
 
 int main() {
   const int n = static_cast<int>(env_int("ADSE_BENCH11_CONFIGS", 100000));

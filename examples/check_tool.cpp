@@ -6,7 +6,7 @@
 ///   ./examples/check_tool --repro repros/repro-1-7.txt  # replay a finding
 ///   ./examples/check_tool --mc-fuzz 32 --seed 1         # coherence fuzzing
 ///   ./examples/check_tool --mc-fuzz 8 --mc-inject drop_inval_ack  # self-test
-///   ./examples/check_tool --mc-repro repros/mc-repro-1-3.txt      # replay
+///   ./examples/check_tool --repro repros/mc-repro-1-3.txt         # replay
 ///   ./examples/check_tool --calibrate                   # fit proxy constants
 ///
 /// Exit codes: 0 = clean (or a replayed repro no longer fires), 1 = at least
@@ -20,14 +20,18 @@
 /// values and the residual divergence. `--configs N`, `--sweeps N`, `--seed`
 /// shape the fit; `--out FILE` also writes the report to a file.
 ///
-/// `--mc-fuzz N` runs the multicore coherence fuzzer: N random (cores,
-/// directory scheme/size, VL, app, interleaving) points simulated on the
-/// tiled MSI machine with every conservation law armed. `--mc-inject BUG`
-/// plants a deliberate protocol defect (drop_inval_ack, leak_sharer_bit,
-/// skip_downgrade) so the harness can prove it catches real bugs; findings
-/// are ddmin-shrunk and written as adse-mc-repro v1 files that `--mc-repro`
-/// replays. `--mc-max-cores` bounds the sampled tile count (default from
-/// ADSE_CORES).
+/// `--mc-fuzz N` runs the multicore coherence fuzzer instead: N random
+/// (cores, directory scheme/size, VL, app, interleaving) points simulated on
+/// the tiled MSI machine with every conservation law armed. `--mc-inject
+/// BUG` plants a deliberate protocol defect (drop_inval_ack,
+/// leak_sharer_bit, skip_downgrade) so the harness can prove it catches real
+/// bugs; `--mc-max-cores` bounds the sampled tile count (default from
+/// ADSE_CORES). Both fuzzers shrink their findings and write the same
+/// `adse-check-repro v1` files; `--repro` replays either kind (`--mc-repro`
+/// is the same flag).
+///
+/// Bad input — an unparsable number, an out-of-range option, an unreadable
+/// or malformed repro — prints `check_tool: error: <message>` and exits 2.
 ///
 /// The tool uses a hermetic evaluation service (no persistent result store):
 /// a cached result would bypass the in-run structural checks and could mask
@@ -35,19 +39,23 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 #include "analysis/calibrate.hpp"
 #include "check/fuzzer.hpp"
-#include "check/mc_fuzzer.hpp"
 #include "check/repro.hpp"
+#include "common/env.hpp"
+#include "common/require.hpp"
 #include "common/stopwatch.hpp"
+#include "common/strings.hpp"
 #include "config/serialize.hpp"
 #include "eval/service.hpp"
 
 namespace {
+
+using namespace adse;
 
 int usage(const char* argv0) {
   std::fprintf(
@@ -62,18 +70,34 @@ int usage(const char* argv0) {
   return 2;
 }
 
-}  // namespace
+int parse_count(const char* text) {
+  const long long value = parse_int(text);
+  ADSE_REQUIRE_MSG(value == static_cast<int>(value),
+                   "'" << text << "' is out of range");
+  return static_cast<int>(value);
+}
 
-int main(int argc, char** argv) {
-  using namespace adse;
+/// Where a violation ran: its app, plus the whole machine for coherence.
+std::string describe(const check::Violation& v) {
+  if (v.kind != check::Violation::Kind::kCoherence) {
+    return "app " + kernels::app_slug(v.app);
+  }
+  const check::McPoint& p = v.point;
+  std::ostringstream os;
+  os << "app " << kernels::mc_app_slug(p.app) << " cores " << p.num_cores
+     << " scheme " << config::directory_scheme_name(p.directory_scheme)
+     << " entries " << p.directory_entries << " vl " << p.vector_length_bits
+     << " interleave_seed " << p.interleave_seed << " inject "
+     << coherence::injected_bug_name(v.inject);
+  return os.str();
+}
 
+int run(int argc, char** argv) {
   check::FuzzOptions options;
-  check::McFuzzOptions mc_options = check::McFuzzOptions::from_env();
-  bool mc_fuzz = false;
+  options.max_cores = static_cast<int>(mc_cores());
+  bool coherence_fuzz = false;
   std::string repro_file;
-  std::string mc_repro_file;
-  int threads = 0;
-  bool verbose = false;
+  eval::ServiceConfig eval_options;  // hermetic: in-memory memo only
   bool calibrate = false;
   analysis::CalibrationOptions calibration;
   std::string calibration_out;
@@ -87,37 +111,33 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--fuzz") {
-      options.iterations = std::atoi(next());
+    if (arg == "--fuzz" || arg == "--mc-fuzz") {
+      coherence_fuzz = arg == "--mc-fuzz";
+      options.iterations = parse_count(next());
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(next(), nullptr, 10);
+      options.seed = parse_u64(next());
     } else if (arg == "--chains") {
-      options.chain_points = std::atoi(next());
+      options.chain_points = parse_count(next());
     } else if (arg == "--threads") {
-      threads = std::atoi(next());
+      eval_options.threads = parse_count(next());
     } else if (arg == "--repro-dir") {
       options.repro_dir = next();
     } else if (arg == "--no-shrink") {
       options.shrink = false;
     } else if (arg == "--verbose") {
-      verbose = true;
-    } else if (arg == "--repro") {
+      options.verbose = true;
+    } else if (arg == "--repro" || arg == "--mc-repro") {
       repro_file = next();
-    } else if (arg == "--mc-fuzz") {
-      mc_fuzz = true;
-      mc_options.iterations = std::atoi(next());
     } else if (arg == "--mc-inject") {
-      mc_options.inject = coherence::injected_bug_from_name(next());
+      options.inject = coherence::injected_bug_from_name(next());
     } else if (arg == "--mc-max-cores") {
-      mc_options.max_cores = std::atoi(next());
-    } else if (arg == "--mc-repro") {
-      mc_repro_file = next();
+      options.max_cores = parse_count(next());
     } else if (arg == "--calibrate") {
       calibrate = true;
     } else if (arg == "--configs") {
-      calibration.num_configs = std::atoi(next());
+      calibration.num_configs = parse_count(next());
     } else if (arg == "--sweeps") {
-      calibration.sweeps = std::atoi(next());
+      calibration.sweeps = parse_count(next());
     } else if (arg == "--out") {
       calibration_out = next();
     } else if (arg == "--skip-unless-env") {
@@ -129,53 +149,6 @@ int main(int argc, char** argv) {
     } else {
       return usage(argv[0]);
     }
-  }
-  options.verbose = verbose;
-  mc_options.seed = options.seed;
-  mc_options.shrink = options.shrink;
-  mc_options.repro_dir = options.repro_dir;
-  mc_options.verbose = verbose;
-
-  if (!mc_repro_file.empty()) {
-    const check::McViolation violation = check::load_mc_repro(mc_repro_file);
-    std::printf("replaying %s (app %s, %d cores, %s directory, seed %llu, "
-                "iteration %llu, inject %s)\n",
-                mc_repro_file.c_str(),
-                kernels::mc_app_slug(violation.point.app).c_str(),
-                violation.point.num_cores,
-                config::directory_scheme_name(violation.point.directory_scheme)
-                    .c_str(),
-                static_cast<unsigned long long>(violation.seed),
-                static_cast<unsigned long long>(violation.iteration),
-                coherence::injected_bug_name(violation.inject).c_str());
-    const bool fires = check::mc_reproduces(violation);
-    std::printf("%s: %s\n", mc_repro_file.c_str(),
-                fires ? "STILL REPRODUCES" : "does not reproduce (fixed)");
-    return fires ? 1 : 0;
-  }
-
-  if (mc_fuzz) {
-    Stopwatch mc_watch;
-    const check::McFuzzReport report = check::mc_fuzz(mc_options);
-    const double seconds = mc_watch.millis() / 1000.0;
-    std::printf("check_tool: %s in %.1f s (seed %llu, max %d cores, "
-                "inject %s)\n",
-                report.summary().c_str(), seconds,
-                static_cast<unsigned long long>(mc_options.seed),
-                mc_options.max_cores,
-                coherence::injected_bug_name(mc_options.inject).c_str());
-    for (const check::McViolation& v : report.violations) {
-      std::printf("  iteration %llu app %s cores %d scheme %s entries %d: %s\n",
-                  static_cast<unsigned long long>(v.iteration),
-                  kernels::mc_app_slug(v.point.app).c_str(), v.point.num_cores,
-                  config::directory_scheme_name(v.point.directory_scheme)
-                      .c_str(),
-                  v.point.directory_entries, v.message.c_str());
-      if (!v.repro_path.empty()) {
-        std::printf("        repro: %s\n", v.repro_path.c_str());
-      }
-    }
-    return report.ok() ? 0 : 1;
   }
 
   if (calibrate) {
@@ -197,22 +170,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // Hermetic service: in-memory memo only (see file comment).
-  eval::ServiceConfig eval_options;
-  eval_options.threads = threads;
   eval::EvalService service(eval_options);
 
   if (!repro_file.empty()) {
     const check::Violation violation = check::load_repro(repro_file);
-    std::printf("replaying %s (%s, app %s, seed %llu, iteration %llu)\n",
-                repro_file.c_str(),
-                violation.kind == check::Violation::Kind::kInvariant
-                    ? "invariant"
-                    : "monotonicity",
-                kernels::app_slug(violation.app).c_str(),
+    std::printf("replaying %s (%s, %s, seed %llu, iteration %llu)\n",
+                repro_file.c_str(), check::kind_name(violation.kind),
+                describe(violation).c_str(),
                 static_cast<unsigned long long>(violation.seed),
                 static_cast<unsigned long long>(violation.iteration));
-    if (verbose) {
+    if (options.verbose &&
+        violation.kind != check::Violation::Kind::kCoherence) {
       std::printf("%s\n", config::to_yaml(violation.config).c_str());
     }
     const bool fires = check::reproduces(service, violation);
@@ -222,20 +190,37 @@ int main(int argc, char** argv) {
   }
 
   Stopwatch watch;
-  const check::FuzzReport report = check::fuzz(service, options);
+  const check::FuzzReport report = coherence_fuzz
+                                       ? check::mc_fuzz(options)
+                                       : check::fuzz(service, options);
   const double seconds = watch.millis() / 1000.0;
-  std::printf("check_tool: %s in %.1f s on %zu threads (seed %llu)\n",
-              report.summary().c_str(), seconds, service.threads(),
-              static_cast<unsigned long long>(options.seed));
+  std::printf("check_tool: %s%s in %.1f s (seed %llu, ",
+              coherence_fuzz ? "mc-fuzz: " : "", report.summary().c_str(),
+              seconds, static_cast<unsigned long long>(options.seed));
+  if (coherence_fuzz) {
+    std::printf("max %d cores, inject %s)\n", options.max_cores,
+                coherence::injected_bug_name(options.inject).c_str());
+  } else {
+    std::printf("%zu threads)\n", service.threads());
+  }
   for (const check::Violation& v : report.violations) {
-    std::printf("  [%s] iteration %llu app %s: %s\n",
-                v.kind == check::Violation::Kind::kInvariant ? "invariant"
-                                                             : "monotonicity",
+    std::printf("  [%s] iteration %llu %s: %s\n", check::kind_name(v.kind),
                 static_cast<unsigned long long>(v.iteration),
-                kernels::app_slug(v.app).c_str(), v.message.c_str());
+                describe(v).c_str(), v.message.c_str());
     if (!v.repro_path.empty()) {
       std::printf("        repro: %s\n", v.repro_path.c_str());
     }
   }
   return report.ok() ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const adse::InvariantError& e) {
+    std::fprintf(stderr, "check_tool: error: %s\n", e.what());
+    return 2;
+  }
 }

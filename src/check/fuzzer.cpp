@@ -1,6 +1,7 @@
 #include "check/fuzzer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -9,17 +10,74 @@
 #include "check/check.hpp"
 #include "common/check.hpp"
 #include "common/require.hpp"
-#include "config/baselines.hpp"
 #include "obs/log.hpp"
+#include "sim/multicore.hpp"
 
 namespace adse::check {
 
 namespace {
 
-/// One check of a single (config, app) evaluation: structural invariants
-/// (surfaced as a kBackendError response) plus the oracle properties.
-/// Returns the combined failure message, or "" for a clean run; `cycles` is
-/// filled for runs that completed.
+/// Shrinks (when asked) and writes the report's violations in report order.
+/// Both are sequential: each probe re-runs a point and must stay
+/// deterministic.
+void shrink_and_save(FuzzReport& report, const FuzzOptions& options,
+                     const Fires& fires) {
+  for (Violation& violation : report.violations) {
+    if (options.shrink) {
+      const std::size_t left = shrink_violation(fires, violation);
+      if (options.verbose) {
+        obs::logf(obs::LogLevel::kInfo,
+                  "[check] iteration %llu shrunk to %zu dimension(s): %s\n",
+                  static_cast<unsigned long long>(violation.iteration), left,
+                  violation.message.c_str());
+      }
+    }
+    if (!options.repro_dir.empty()) save_repro(options.repro_dir, violation);
+  }
+}
+
+/// Coherence sampling ranges. VLs stay modest (wide vectors multiply lines
+/// per access, not protocol variety); sparse entry budgets are deliberately
+/// tiny so directory evictions actually happen inside short fuzz traces.
+constexpr std::array<int, 4> kVlChoices = {128, 256, 512, 1024};
+constexpr std::array<int, 4> kSparseEntryChoices = {0, 8, 16, 64};
+
+/// Largest per-core start skew in cycles. Small on purpose: the interesting
+/// races live within a few protocol round-trips of each other.
+constexpr std::uint64_t kMaxSkewCycles = 48;
+
+std::vector<std::uint64_t> skews_from_seed(std::uint64_t interleave_seed,
+                                           int cores) {
+  if (interleave_seed == 0) return {};
+  Rng rng(interleave_seed);
+  std::vector<std::uint64_t> skew(static_cast<std::size_t>(cores));
+  for (auto& s : skew) {
+    s = static_cast<std::uint64_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kMaxSkewCycles)));
+  }
+  return skew;
+}
+
+McPoint sample_point(Rng& rng, const FuzzOptions& options) {
+  McPoint p;
+  int max_log2 = 1;
+  while ((2 << max_log2) <= options.max_cores) max_log2++;
+  p.num_cores = 2 << rng.uniform_int(0, max_log2 - 1);
+  p.directory_scheme = rng.bernoulli(0.5)
+                           ? config::DirectoryScheme::kFullMap
+                           : config::DirectoryScheme::kSparse;
+  p.directory_entries =
+      p.directory_scheme == config::DirectoryScheme::kSparse
+          ? kSparseEntryChoices[rng.index(kSparseEntryChoices.size())]
+          : 0;
+  p.vector_length_bits = kVlChoices[rng.index(kVlChoices.size())];
+  p.app = kernels::all_mc_apps()[rng.index(kernels::all_mc_apps().size())];
+  p.interleave_seed = rng.next();
+  return p;
+}
+
+}  // namespace
+
 std::string check_point(eval::EvalService& service,
                         const config::CpuConfig& config, kernels::App app,
                         std::uint64_t* cycles) {
@@ -39,8 +97,6 @@ std::string check_point(eval::EvalService& service,
   }
   return os.str();
 }
-
-}  // namespace
 
 const std::vector<config::ParamId>& monotone_params() {
   // Capacity/width resources only: raising one relaxes a stall condition
@@ -101,7 +157,6 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
                    "monotonicity chains need at least 2 points");
   const ScopedCheck scoped(true);
   const config::ParameterSpace space;
-  const config::CpuConfig baseline = config::thunderx2_baseline();
 
   FuzzReport report;
   report.iterations = options.iterations;
@@ -119,22 +174,25 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
         kernels::all_apps()[rng.index(kernels::all_apps().size())];
 
     std::vector<Violation> found;
-    const auto invariant_violation = [&](const config::CpuConfig& c,
-                                         const std::string& message) {
-      Violation v;
-      v.kind = Violation::Kind::kInvariant;
+    const auto add_violation = [&](Violation::Kind kind,
+                                   const config::CpuConfig& c,
+                                   const std::string& message) -> Violation& {
+      Violation& v = found.emplace_back();
+      v.kind = kind;
       v.app = app;
       v.seed = options.seed;
       v.iteration = i;
       v.config = c;
       v.message = message;
-      found.push_back(std::move(v));
+      return v;
     };
 
     // Property family 1: the sampled point itself.
     evaluations.fetch_add(1, std::memory_order_relaxed);
     const std::string message = check_point(service, config, app, nullptr);
-    if (!message.empty()) invariant_violation(config, message);
+    if (!message.empty()) {
+      add_violation(Violation::Kind::kInvariant, config, message);
+    }
 
     // Property family 2: a monotonicity chain through the sampled point.
     // The prefetcher is disabled for the chain: with it on, extra capacity
@@ -158,8 +216,9 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
         run_chain(service, chain_base, param, values, app);
     for (std::size_t p = 0; p < chain.errors.size(); ++p) {
       if (chain.errors[p].empty()) continue;
-      invariant_violation(with_param(chain_base, param, chain.values[p]),
-                          chain.errors[p]);
+      add_violation(Violation::Kind::kInvariant,
+                    with_param(chain_base, param, chain.values[p]),
+                    chain.errors[p]);
       break;  // one invariant finding per chain is enough signal
     }
     const int regression = chain.first_regression();
@@ -168,12 +227,8 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
       int prev = regression - 1;
       while (prev > 0 && !chain.errors[static_cast<std::size_t>(prev)].empty())
         --prev;
-      Violation v;
-      v.kind = Violation::Kind::kMonotonicity;
-      v.app = app;
-      v.seed = options.seed;
-      v.iteration = i;
-      v.config = chain_base;
+      Violation& v =
+          add_violation(Violation::Kind::kMonotonicity, chain_base, "");
       v.chain_param = param;
       v.chain_lo = chain.values[static_cast<std::size_t>(prev)];
       v.chain_hi = chain.values[static_cast<std::size_t>(regression)];
@@ -184,7 +239,6 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
          << " to " << v.chain_hi << " on '" << kernels::app_slug(app)
          << "' raised cycles from " << v.cycles_lo << " to " << v.cycles_hi;
       v.message = os.str();
-      found.push_back(std::move(v));
     }
 
     if (!found.empty()) {
@@ -196,29 +250,20 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
   service.parallel_for(static_cast<std::size_t>(options.iterations),
                        run_iteration);
 
-  // Deterministic report order whatever the scheduling.
-  std::sort(report.violations.begin(), report.violations.end(),
-            [](const Violation& a, const Violation& b) {
-              if (a.iteration != b.iteration) return a.iteration < b.iteration;
-              return static_cast<int>(a.kind) < static_cast<int>(b.kind);
-            });
+  // Deterministic report order whatever the scheduling. Stable: one
+  // iteration's findings arrive together in a fixed order, and two of the
+  // same kind must keep it (they share a repro file name).
+  std::stable_sort(
+      report.violations.begin(), report.violations.end(),
+      [](const Violation& a, const Violation& b) {
+        if (a.iteration != b.iteration) return a.iteration < b.iteration;
+        return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+      });
 
-  // Shrinking and repro writing are sequential: each probes the service
-  // (memoised) and must stay deterministic.
-  for (Violation& violation : report.violations) {
-    if (options.shrink) {
-      const std::size_t params_left =
-          shrink_violation(service, violation, baseline);
-      if (options.verbose) {
-        obs::logf(obs::LogLevel::kInfo,
-                  "[check] iteration %llu shrunk to %zu parameter(s): %s\n",
-                  static_cast<unsigned long long>(violation.iteration),
-                  params_left, violation.message.c_str());
-      }
-    }
-    if (!options.repro_dir.empty()) save_repro(options.repro_dir, violation);
-  }
   report.evaluations = evaluations.load();
+  shrink_and_save(report, options, [&service](Violation& probe) {
+    return reproduces(service, probe);
+  });
   return report;
 }
 
@@ -227,6 +272,69 @@ std::string FuzzReport::summary() const {
   os << iterations << " iterations, " << evaluations << " evaluations, "
      << violations.size() << " violation(s)";
   return os.str();
+}
+
+std::string mc_run_point(const McPoint& point,
+                         coherence::InjectedBug inject) {
+  const config::CpuConfig cfg = mc_point_config(point);
+  config::validate(cfg);  // outside the try: an invalid point is no finding
+  sim::MulticoreOptions options;
+  options.inject = inject;
+  options.start_skew = skews_from_seed(point.interleave_seed, point.num_cores);
+  // Tight walk cadence: the fuzzer trades throughput for the earliest
+  // possible detection of a structural-law break.
+  options.walk_every = 64;
+  ScopedCheck armed(true);
+  try {
+    const kernels::ThreadedProgram program = kernels::build_mc_app(
+        point.app, point.num_cores, point.vector_length_bits);
+    const sim::MulticoreResult result =
+        sim::simulate_multicore(cfg, program, options);
+    // Terminal sanity: the lockstep loop retires every µop of every thread.
+    std::uint64_t expected = 0;
+    for (const auto& t : program.threads) expected += t.ops.size();
+    ADSE_REQUIRE_MSG(result.retired_uops == expected,
+                     "retired " << result.retired_uops << " of " << expected
+                                << " µops");
+    ADSE_REQUIRE_MSG(result.cycles > 0, "zero-cycle multicore run");
+  } catch (const InvariantError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+FuzzReport mc_fuzz(const FuzzOptions& options) {
+  ADSE_REQUIRE_MSG(options.iterations > 0, "mc-fuzz needs iterations > 0");
+  ADSE_REQUIRE_MSG(options.max_cores >= 2 && options.max_cores <= 16 &&
+                       (options.max_cores & (options.max_cores - 1)) == 0,
+                   "max_cores must be a power of two in [2,16], got "
+                       << options.max_cores);
+  FuzzReport report;
+  report.iterations = options.iterations;
+  for (int iter = 0; iter < options.iterations; ++iter) {
+    // Independent per-iteration streams, so the report does not depend on
+    // ordering (a different formula from fuzz(): each decides which points
+    // get sampled, so neither may change).
+    Rng rng(options.seed * 0x9e3779b97f4a7c15ULL +
+            static_cast<std::uint64_t>(iter) * 2 + 1);
+    const McPoint point = sample_point(rng, options);
+    report.evaluations++;
+    std::string message = mc_run_point(point, options.inject);
+    if (message.empty()) continue;
+    Violation& v = report.violations.emplace_back();
+    v.kind = Violation::Kind::kCoherence;
+    v.seed = options.seed;
+    v.iteration = static_cast<std::uint64_t>(iter);
+    v.point = point;
+    v.inject = options.inject;
+    v.message = std::move(message);
+  }
+  shrink_and_save(report, options, [](Violation& probe) {
+    // The shrunk point reports its own (latest firing) message.
+    probe.message = mc_run_point(probe.point, probe.inject);
+    return !probe.message.empty();
+  });
+  return report;
 }
 
 }  // namespace adse::check

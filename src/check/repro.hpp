@@ -1,12 +1,14 @@
 #pragma once
 /// \file repro.hpp
-/// Failure records, delta-shrinking and deterministic repro files.
+/// Failure records, delta-shrinking and deterministic repro files, shared by
+/// the config-space fuzzer and the coherence fuzzer (fuzzer.hpp).
 ///
 /// A fuzzer finding is only useful if it survives the fuzzer: every
-/// violation is shrunk toward the ThunderX2 baseline until a minimal set of
-/// parameters still triggers it, then written as a small text file that
-/// `check_tool --repro` replays bit-for-bit (the evaluation path is
-/// deterministic, so a repro either fires or the bug is fixed).
+/// violation is shrunk toward its baseline (the ThunderX2 configuration, or
+/// the 2-core full-map McPoint) until a minimal set of dimensions still
+/// triggers it, then written as a small text file that `check_tool --repro`
+/// replays bit-for-bit (both evaluation paths are deterministic, so a repro
+/// either fires or the bug is fixed).
 
 #include <cstdint>
 #include <functional>
@@ -14,8 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "coherence/tiled_memory.hpp"
 #include "config/cpu_config.hpp"
 #include "eval/service.hpp"
+#include "kernels/threaded.hpp"
 #include "kernels/workloads.hpp"
 
 namespace adse::check {
@@ -41,18 +45,40 @@ inline constexpr std::uint64_t monotone_allowed_cycles(std::uint64_t lo) {
   return lo + (rel > kMonotoneAbsSlack ? rel : kMonotoneAbsSlack);
 }
 
-/// One property violation found by the fuzzer (or loaded from a repro file).
+/// One multicore design point plus its schedule perturbation. The coherence
+/// shrink baseline is the default-constructed value (2 cores, full map, auto
+/// entries, VL 128, ring, no skew).
+struct McPoint {
+  int num_cores = 2;
+  config::DirectoryScheme directory_scheme = config::DirectoryScheme::kFullMap;
+  int directory_entries = 0;  ///< 0 = auto (sparse only)
+  int vector_length_bits = 128;
+  kernels::McApp app = kernels::McApp::kRingPass;
+  /// Seeds the per-core start skews (0 = lockstep start). Distinct seeds
+  /// exercise distinct protocol race orderings deterministically.
+  std::uint64_t interleave_seed = 0;
+
+  bool operator==(const McPoint&) const = default;
+};
+
+/// The CpuConfig this point describes: the ThunderX2 baseline with the
+/// point's VL and multicore block applied.
+config::CpuConfig mc_point_config(const McPoint& point);
+
+/// One property violation found by a fuzzer (or loaded from a repro file).
 struct Violation {
   enum class Kind {
     kInvariant,     ///< a model invariant / oracle bound failed on one run
     kMonotonicity,  ///< adding a resource made a fixed trace slower
+    kCoherence,     ///< a coherence conservation law fired on the tiled machine
   };
 
   Kind kind = Kind::kInvariant;
-  kernels::App app = kernels::App::kStream;
+  kernels::App app = kernels::App::kStream;  ///< single-core kinds
   std::uint64_t seed = 0;       ///< fuzzer seed that produced it
   std::uint64_t iteration = 0;  ///< fuzzer iteration that produced it
-  /// The failing design point (post-shrink: minimal diff vs the baseline).
+  /// The failing single-core design point (post-shrink: minimal diff vs the
+  /// baseline).
   config::CpuConfig config;
   std::string message;
 
@@ -64,9 +90,17 @@ struct Violation {
   std::uint64_t cycles_lo = 0;
   std::uint64_t cycles_hi = 0;
 
+  // Coherence context: the multicore point (post-shrink: minimal machine
+  // that fires) and the protocol defect injected into its runs.
+  McPoint point;
+  coherence::InjectedBug inject = coherence::InjectedBug::kNone;
+
   /// Where the repro file was written ("" if none was).
   std::string repro_path;
 };
+
+/// "invariant", "monotonicity" or "coherence": the repro file's kind line.
+const char* kind_name(Violation::Kind kind);
 
 /// Parameters on which `config` differs from `reference` (ParamId order).
 std::vector<config::ParamId> diff_params(const config::CpuConfig& config,
@@ -79,34 +113,45 @@ double param_value(const config::CpuConfig& config, config::ParamId id);
 config::CpuConfig with_param(const config::CpuConfig& config,
                              config::ParamId id, double value);
 
-/// Delta-shrinks `violation.config` toward `target` (param-at-a-time ddmin):
-/// repeatedly resets each differing parameter to the target's value, keeping
-/// the reset whenever `fires(candidate)` says the violation still
-/// reproduces, until a fixed point. Invalid intermediate configurations are
-/// skipped; a monotonicity violation's chain parameter is never reset.
-/// Returns the number of parameters still differing from `target`.
-std::size_t shrink_violation(
-    const std::function<bool(const Violation&)>& fires, Violation& violation,
-    const config::CpuConfig& target);
+/// Whether a shrink candidate still shows the violation. It may rewrite the
+/// candidate's message (the coherence fuzzer keeps the latest firing text).
+using Fires = std::function<bool(Violation&)>;
 
-/// The production form: `fires` re-runs the violation through `service`.
-std::size_t shrink_violation(eval::EvalService& service, Violation& violation,
+/// Delta-shrinks a single-core violation toward `target` (coordinate ddmin,
+/// one dimension per ParamId): repeatedly resets each differing parameter to
+/// the target's value, keeping the reset whenever `fires(candidate)` says
+/// the violation still reproduces, until a pass changes nothing. Invalid
+/// candidates are skipped; a monotonicity violation's chain parameter is
+/// never reset. Returns the number of parameters still differing.
+std::size_t shrink_violation(const Fires& fires, Violation& violation,
                              const config::CpuConfig& target);
 
-/// Re-runs a violation through the evaluation service. True = still fires.
-/// Invariant violations re-check the run against the oracle; monotonicity
-/// violations re-run the (chain_lo, chain_hi) pair and compare cycles.
+/// The same ddmin toward the violation's own baseline: the ThunderX2
+/// configuration for single-core kinds; the default McPoint for coherence,
+/// over six dimensions (cores, scheme with its entries, entries, VL, app,
+/// interleaving). Returns the number of parameters / McPoint fields still
+/// differing.
+std::size_t shrink_violation(const Fires& fires, Violation& violation);
+
+/// Re-runs a violation. True = still fires. Invariant violations re-check
+/// the run through `service` against the oracle; monotonicity violations
+/// re-run the (chain_lo, chain_hi) pair and compare cycles; coherence
+/// violations re-run the point on the tiled machine (`service` unused).
 bool reproduces(eval::EvalService& service, const Violation& violation);
 
-/// Serialises a violation as a deterministic text repro (stable line order,
-/// %.17g values, parameter diff vs the ThunderX2 baseline).
+/// Serialises a violation as a deterministic "adse-check-repro v1" text
+/// repro (stable line order, one-line message; %.17g values and the
+/// parameter diff vs the ThunderX2 baseline for single-core kinds, the
+/// McPoint and injected bug for coherence).
 std::string repro_to_string(const Violation& violation);
 
-/// Inverse of repro_to_string; throws InvariantError on malformed input.
+/// Inverse of repro_to_string; throws InvariantError on malformed input,
+/// including a point whose configuration fails config::validate.
 Violation repro_from_string(const std::string& text);
 
 /// File wrappers. save_repro creates `dir` if needed and names the file
-/// repro-<seed>-<iteration>.txt, storing the path in violation.repro_path.
+/// repro-<seed>-<iteration>.txt (mc-repro-… for coherence), storing the
+/// path in violation.repro_path.
 void save_repro(const std::string& dir, Violation& violation);
 Violation load_repro(const std::string& path);
 

@@ -91,7 +91,7 @@ std::int64_t serve_workers();
 /// Largest tile count the multicore harness exercises (ADSE_CORES, default
 /// 8; power of two in [2,16]). The coherence fuzzer samples tile counts up
 /// to this and bench/96 sweeps {1,2,...,ADSE_CORES}. Read once by
-/// `check::McFuzzOptions::from_env()` and the bench.
+/// `check_tool` (into `check::FuzzOptions::max_cores`) and the bench.
 std::int64_t mc_cores();
 
 }  // namespace adse

@@ -53,6 +53,16 @@ long long parse_int(std::string_view s) {
   return v;
 }
 
+std::uint64_t parse_u64(std::string_view s) {
+  s = trim(s);
+  std::uint64_t v = 0;
+  const auto* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  ADSE_REQUIRE_MSG(ec == std::errc() && ptr == end,
+                   "cannot parse '" << std::string(s) << "' as u64");
+  return v;
+}
+
 std::string format_fixed(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);

@@ -3,6 +3,7 @@
 /// Small string utilities shared by the CSV reader, config serialisation and
 /// report rendering. Kept dependency-free.
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,8 +19,12 @@ std::string_view trim(std::string_view s);
 /// Parses a double; throws InvariantError with context on failure.
 double parse_double(std::string_view s);
 
-/// Parses a non-negative integer; throws InvariantError with context.
+/// Parses a signed integer; throws InvariantError with context.
 long long parse_int(std::string_view s);
+
+/// Parses an unsigned 64-bit integer over its full range (seeds); throws
+/// InvariantError with context, including on a sign.
+std::uint64_t parse_u64(std::string_view s);
 
 /// printf-style double formatting with fixed decimals.
 std::string format_fixed(double v, int decimals);

@@ -20,7 +20,8 @@
 #include <filesystem>
 #include <string>
 
-#include "check/mc_fuzzer.hpp"
+#include "check/fuzzer.hpp"
+#include "check/repro.hpp"
 #include "common/check.hpp"
 #include "common/require.hpp"
 #include "config/baselines.hpp"
@@ -30,9 +31,8 @@
 namespace adse::coherence {
 namespace {
 
-using check::McFuzzOptions;
-using check::McPoint;
-using check::McViolation;
+using check::FuzzOptions;
+using check::Violation;
 using config::CpuConfig;
 using config::DirectoryScheme;
 
@@ -266,32 +266,37 @@ TEST(Injection, SkippedDowngradeTripsWalk) {
 // ---- multicore fuzzer end-to-end -------------------------------------------
 
 TEST(McFuzz, CleanSoakFindsNothing) {
-  McFuzzOptions options;
+  FuzzOptions options;
   options.iterations = 16;
   options.seed = 7;
-  const check::McFuzzReport report = check::mc_fuzz(options);
+  const check::FuzzReport report = check::mc_fuzz(options);
   EXPECT_TRUE(report.ok()) << report.summary();
-  EXPECT_EQ(report.runs, 16u);
+  EXPECT_EQ(report.evaluations, 16u);
 }
 
 TEST(McFuzz, InjectedBugCaughtAndShrunkToTwoDimensions) {
-  McFuzzOptions options;
+  FuzzOptions options;
   options.iterations = 8;
   options.seed = 1;
   options.inject = InjectedBug::kDropInvalAck;
-  const check::McFuzzReport report = check::mc_fuzz(options);
+  const check::FuzzReport report = check::mc_fuzz(options);
   ASSERT_FALSE(report.ok());
   // ddmin must land within two non-baseline dimensions of the default
-  // McPoint (the ISSUE acceptance bar for the planted-defect demo).
-  for (const McViolation& v : report.violations) {
-    McViolation copy = v;
-    EXPECT_LE(check::mc_shrink_violation(copy), 2u) << copy.message;
-    EXPECT_TRUE(check::mc_reproduces(copy));
+  // McPoint (the acceptance bar for the planted-defect demo).
+  eval::EvalService service;  // coherence replays do not use it
+  const auto fires = [&service](Violation& probe) {
+    return check::reproduces(service, probe);
+  };
+  for (const Violation& v : report.violations) {
+    Violation copy = v;
+    EXPECT_LE(check::shrink_violation(fires, copy), 2u) << copy.message;
+    EXPECT_TRUE(check::reproduces(service, copy));
   }
 }
 
 TEST(McFuzz, ReproStringRoundTrips) {
-  McViolation v;
+  Violation v;
+  v.kind = Violation::Kind::kCoherence;
   v.seed = 42;
   v.iteration = 7;
   v.point.num_cores = 8;
@@ -303,8 +308,8 @@ TEST(McFuzz, ReproStringRoundTrips) {
   v.inject = InjectedBug::kLeakSharerBit;
   v.message = "requirement failed: stale sharer bit";
 
-  const McViolation back = check::mc_repro_from_string(
-      check::mc_repro_to_string(v));
+  const Violation back =
+      check::repro_from_string(check::repro_to_string(v));
   EXPECT_EQ(back.seed, v.seed);
   EXPECT_EQ(back.iteration, v.iteration);
   EXPECT_EQ(back.point.num_cores, v.point.num_cores);
@@ -320,23 +325,36 @@ TEST(McFuzz, ReproStringRoundTrips) {
 TEST(McFuzz, ReproFileRoundTripsThroughDisk) {
   const std::string dir =
       (std::filesystem::temp_directory_path() / "adse_mc_repro_test").string();
-  McViolation v;
+  Violation v;
+  v.kind = Violation::Kind::kCoherence;
   v.seed = 3;
   v.iteration = 11;
   v.point.num_cores = 4;
   v.inject = InjectedBug::kSkipDowngrade;
   v.message = "walk failed";
-  check::save_mc_repro(dir, v);
+  check::save_repro(dir, v);
   EXPECT_EQ(v.repro_path, dir + "/mc-repro-3-11.txt");
-  const McViolation back = check::load_mc_repro(v.repro_path);
+  const Violation back = check::load_repro(v.repro_path);
   EXPECT_EQ(back.point.num_cores, 4);
   EXPECT_EQ(back.inject, InjectedBug::kSkipDowngrade);
   std::filesystem::remove_all(dir);
 }
 
 TEST(McFuzz, MalformedReproRejected) {
-  EXPECT_THROW(check::mc_repro_from_string("not a repro"), InvariantError);
-  EXPECT_THROW(check::mc_repro_from_string("adse-mc-repro v1\nbogus_key 1\n"),
+  EXPECT_THROW(check::repro_from_string("not a repro"), InvariantError);
+  EXPECT_THROW(check::repro_from_string(
+                   "adse-check-repro v1\nkind: coherence\nbogus_key: 1\n"),
+               InvariantError);
+  // Points whose configuration fails validate() are rejected on load, before
+  // anything could run them: 3 tiles is not a power of two, a 100-bit VL is
+  // not an SVE length, and -1 tiles would size the skew vector negatively.
+  const std::string header = "adse-check-repro v1\nkind: coherence\n";
+  EXPECT_THROW(check::repro_from_string(header + "cores: 3\n"),
+               InvariantError);
+  EXPECT_THROW(check::repro_from_string(header + "vl: 100\n"),
+               InvariantError);
+  EXPECT_THROW(check::repro_from_string(header +
+                                        "cores: -1\ninterleave_seed: 5\n"),
                InvariantError);
 }
 

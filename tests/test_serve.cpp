@@ -457,20 +457,24 @@ TEST_F(ServeTest, SigtermMidBatchDrainsFlushesAndExitsCleanly) {
     // Daemon process. std::exit (not _exit) after the drain so every static
     // destructor runs — the regression this guards is exactly exit-time
     // teardown order (EvalService's pool vs the obs tracer/registry) while
-    // a kill arrives mid-batch.
+    // a kill arrives mid-batch. The Daemon lives in its own block so its
+    // destructor joins the signal watcher thread before the exit (std::exit
+    // does not unwind this frame; a leaked thread fails TSan builds).
     ::close(ready_pipe[0]);
-    DaemonOptions options;
-    options.socket_path = socket_path_;
-    options.workers = 2;
-    options.service.threads = 2;
-    options.service.store_path = store;
-    options.handle_sigterm = true;
-    Daemon daemon(options);
-    daemon.start();
-    const char byte = 'r';
-    [[maybe_unused]] const ssize_t n = ::write(ready_pipe[1], &byte, 1);
-    ::close(ready_pipe[1]);
-    daemon.wait();
+    {
+      DaemonOptions options;
+      options.socket_path = socket_path_;
+      options.workers = 2;
+      options.service.threads = 2;
+      options.service.store_path = store;
+      options.handle_sigterm = true;
+      Daemon daemon(options);
+      daemon.start();
+      const char byte = 'r';
+      [[maybe_unused]] const ssize_t n = ::write(ready_pipe[1], &byte, 1);
+      ::close(ready_pipe[1]);
+      daemon.wait();
+    }
     std::exit(0);
   }
 

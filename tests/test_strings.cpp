@@ -58,6 +58,14 @@ TEST(ParseInt, Invalid) {
   EXPECT_THROW(parse_int("x"), InvariantError);
 }
 
+TEST(ParseU64, FullRangeAndInvalid) {
+  EXPECT_EQ(parse_u64("18446744073709551615"), 18446744073709551615ULL);
+  EXPECT_EQ(parse_u64(" 7 "), 7u);
+  EXPECT_THROW(parse_u64("-1"), InvariantError);
+  EXPECT_THROW(parse_u64("abc"), InvariantError);
+  EXPECT_THROW(parse_u64("18446744073709551616"), InvariantError);
+}
+
 TEST(Format, Fixed) {
   EXPECT_EQ(format_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(format_fixed(2.0, 0), "2");
