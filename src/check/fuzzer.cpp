@@ -17,7 +17,7 @@ namespace adse::check {
 
 namespace {
 
-/// Shrinks (when asked) and writes the report's violations in report order.
+/// Shrinks (when asked), then writes the report's violations in report order.
 /// Both are sequential: each probe re-runs a point and must stay
 /// deterministic.
 void shrink_and_save(FuzzReport& report, const FuzzOptions& options,
@@ -32,7 +32,9 @@ void shrink_and_save(FuzzReport& report, const FuzzOptions& options,
                   violation.message.c_str());
       }
     }
-    if (!options.repro_dir.empty()) save_repro(options.repro_dir, violation);
+  }
+  if (!options.repro_dir.empty()) {
+    save_repros(options.repro_dir, report.violations);
   }
 }
 
@@ -252,7 +254,8 @@ FuzzReport fuzz(eval::EvalService& service, const FuzzOptions& options) {
 
   // Deterministic report order whatever the scheduling. Stable: one
   // iteration's findings arrive together in a fixed order, and two of the
-  // same kind must keep it (they share a repro file name).
+  // same kind must keep it (it decides which one's repro file gets the -2
+  // name).
   std::stable_sort(
       report.violations.begin(), report.violations.end(),
       [](const Violation& a, const Violation& b) {

@@ -3,36 +3,27 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "common/env.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 
 namespace adse::eval {
 
 namespace {
 
-/// FNV-1a over the config's feature bits — the observation-dedup identity.
-/// Sound for the same reason the service memo hashes feature bits: every
-/// config comes out of the same discrete ParameterSpace generation path.
+/// Word-wise FNV-1a (common/hash.hpp) over the config's feature bits — the
+/// observation-dedup identity. Sound for the same reason the service memo
+/// hashes feature bits: every config comes out of the same discrete
+/// ParameterSpace generation path.
 std::uint64_t observation_hash(kernels::App app,
                                const std::array<double, config::kNumParams>&
                                    features) {
-  std::uint64_t hash = 14695981039346656037ULL;
-  auto mix = [&hash](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (v >> (8 * b)) & 0xffu;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(app));
-  for (double f : features) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    mix(bits);
-  }
-  return hash;
+  std::uint64_t h =
+      hash::mix_word(hash::kFnvOffset, static_cast<std::uint64_t>(app));
+  for (double f : features) h = hash::mix_double(h, f);
+  return h;
 }
 
 std::atomic<std::uint64_t> next_model_id{0};

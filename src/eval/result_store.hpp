@@ -21,13 +21,13 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "config/cpu_config.hpp"
 #include "core/core_stats.hpp"
+#include "isa/microop.hpp"
 #include "mem/hierarchy.hpp"
 #include "power/power_model.hpp"
 
@@ -73,18 +73,65 @@ class ResultStore {
   /// barrier before reporting "flushed".
   void flush();
 
-  /// Stable 64-bit tag for a backend key string (FNV-1a).
+  /// Stable 64-bit tag for a backend key string (byte-wise FNV-1a; frozen,
+  /// since tags are persisted in every record).
   static std::uint64_t tag(const std::string& backend_key);
 
   /// On-disk size of one record, for tests and capacity estimates.
   static std::size_t record_bytes();
 
+  /// Number of counters visit_run_counters visits.
+  static std::size_t num_run_counters();
+
   /// Applies `fn` to every persisted counter of a record's stat blocks, in
-  /// the frozen on-disk order. Public so the wire codec (eval/wire.cpp)
-  /// serializes EvalResponse counter blocks bit-for-bit the way the store
-  /// does — one visitation order, two consumers.
-  static void visit_run_counters(core::CoreStats& core, mem::MemStats& mem,
-                                 const std::function<void(std::uint64_t&)>& fn);
+  /// the frozen on-disk order shared by the writer and the loader. Public so
+  /// the wire codec (eval/wire.cpp) serializes EvalResponse counter blocks
+  /// bit-for-bit the way the store does — one visitation order, two
+  /// consumers. The blocks may be const (encoders) or mutable (decoders).
+  /// Adding/removing a field here changes record_bytes(), which the header
+  /// check turns into a clean "stale store" rebuild instead of silent
+  /// misparsing.
+  template <typename Core, typename Mem, typename Fn>
+  static void visit_run_counters(Core& core, Mem& mem, Fn&& fn) {
+    fn(core.cycles);
+    fn(core.retired);
+    fn(core.retired_sve);
+    for (int g = 0; g < isa::kNumInstrGroups; ++g) fn(core.retired_by_group[g]);
+    fn(core.cycles_entered);
+    fn(core.cycles_skipped);
+    for (int s = 0; s < core::kNumStages; ++s) fn(core.stage_active_cycles[s]);
+    fn(core.rs_wakeups);
+    fn(core.stall_fetch_bytes);
+    for (int c = 0; c < isa::kNumRegClasses; ++c) fn(core.stall_no_phys[c]);
+    fn(core.stall_rob_full);
+    fn(core.stall_rs_full);
+    fn(core.stall_lq_full);
+    fn(core.stall_sq_full);
+    fn(core.loads_forwarded);
+    fn(core.loads_sent);
+    fn(core.stores_sent);
+    fn(core.loop_buffer_ops);
+    for (int c = 0; c < isa::kNumRegClasses; ++c) fn(core.regfile_reads[c]);
+    for (int c = 0; c < isa::kNumRegClasses; ++c) fn(core.regfile_writes[c]);
+    fn(core.sve_lane_ops);
+
+    fn(mem.loads);
+    fn(mem.stores);
+    fn(mem.line_requests);
+    fn(mem.l1_hits);
+    fn(mem.l1_misses);
+    fn(mem.l2_hits);
+    fn(mem.l2_misses);
+    fn(mem.ram_requests);
+    fn(mem.dirty_writebacks);
+    fn(mem.prefetch_fills);
+    fn(mem.tlb_misses);
+    fn(mem.bank_conflicts);
+    fn(mem.l1_reads);
+    fn(mem.l1_writes);
+    fn(mem.l2_reads);
+    fn(mem.l2_writes);
+  }
 
  private:
   std::string path_;

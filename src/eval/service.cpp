@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "common/env.hpp"
+#include "common/hash.hpp"
 #include "common/require.hpp"
 #include "common/strings.hpp"
 #include "common/text_table.hpp"
@@ -65,24 +65,16 @@ FusedOptions ServiceConfig::fused_options() const {
 }
 
 std::size_t EvalService::MemoKeyHash::operator()(const MemoKey& key) const {
-  // FNV-1a over the key's 8-byte slots; features are compared (and hashed)
-  // by exact bit pattern, which is sound because every feature vector comes
-  // out of the same discrete ParameterSpace generation path.
-  std::uint64_t hash = 14695981039346656037ULL;
-  auto mix = [&hash](std::uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (v >> (8 * b)) & 0xffu;
-      hash *= 1099511628211ULL;
-    }
-  };
-  mix(key.tag);
-  mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(key.app)));
-  for (double f : key.features) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    mix(bits);
-  }
-  return static_cast<std::size_t>(hash);
+  // Word-wise FNV-1a (common/hash.hpp) over the key's 8-byte slots; features
+  // are compared (and hashed) by exact bit pattern, which is sound because
+  // every feature vector comes out of the same discrete ParameterSpace
+  // generation path. Nothing iterates the memo maps, so the hash only places
+  // keys in shards and buckets.
+  std::uint64_t h = hash::mix_word(hash::kFnvOffset, key.tag);
+  h = hash::mix_word(
+      h, static_cast<std::uint64_t>(static_cast<std::int64_t>(key.app)));
+  for (double f : key.features) h = hash::mix_double(h, f);
+  return static_cast<std::size_t>(h);
 }
 
 EvalService::Shard& EvalService::shard_for(const MemoKey& key) {

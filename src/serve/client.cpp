@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include <poll.h>
@@ -12,6 +13,7 @@
 
 #include "common/env.hpp"
 #include "common/require.hpp"
+#include "serve/frame_io.hpp"
 
 namespace adse::serve {
 
@@ -21,19 +23,6 @@ using eval::EvalRequest;
 using eval::EvalResponse;
 using eval::EvalStatus;
 namespace wire = eval::wire;
-
-bool send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 EvalResponse failed_response(EvalStatus status, std::string message) {
   EvalResponse out;
@@ -76,7 +65,7 @@ bool EvalClient::ensure_connected() {
     if (fd < 0) return false;
     if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
       fd_ = fd;
-      buffer_.clear();
+      reader_.clear();
       return true;
     }
     ::close(fd);
@@ -89,27 +78,17 @@ void EvalClient::disconnect() {
     ::close(fd_);
     fd_ = -1;
   }
-  buffer_.clear();
+  reader_.clear();
 }
 
-bool EvalClient::read_frame(wire::Frame& frame, std::string& storage,
-                            EvalStatus& status) {
+bool EvalClient::read_frame(wire::Frame& frame, EvalStatus& status) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(options_.timeout_ms > 0 ? options_.timeout_ms
                                                         : 1 << 30);
   while (true) {
-    std::size_t consumed = 0;
-    const wire::DecodeStatus decode =
-        wire::try_decode(buffer_, frame, consumed);
-    if (decode == wire::DecodeStatus::kOk) {
-      // Frames reference the receive buffer; detach the payload before the
-      // buffer shifts underneath it.
-      storage.assign(frame.payload);
-      frame.payload = storage;
-      buffer_.erase(0, consumed);
-      return true;
-    }
+    const wire::DecodeStatus decode = reader_.next(frame);
+    if (decode == wire::DecodeStatus::kOk) return true;
     if (decode != wire::DecodeStatus::kNeedMore) {
       // Corrupt response stream — unrecoverable, same as the server side.
       status = wire::decode_status_to_eval(decode);
@@ -131,14 +110,12 @@ bool EvalClient::read_frame(wire::Frame& frame, std::string& storage,
       status = EvalStatus::kTimeout;
       return false;
     }
-    char chunk[1 << 16];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = reader_.receive(fd_);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       status = EvalStatus::kDisconnected;
       return false;
     }
-    buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }
 
@@ -152,28 +129,47 @@ std::vector<EvalResponse> EvalClient::evaluate(
     if (!ensure_connected()) break;
 
     // Pipeline phase: every unanswered request goes out before the first
-    // response is read, keyed by a fresh frame id per attempt (a response
-    // from a pre-retry incarnation can never be mistaken for a new one).
-    std::unordered_map<std::uint64_t, std::size_t> pending;
+    // response is read, under consecutive fresh frame ids per attempt (a
+    // response from a pre-retry incarnation can never be mistaken for a new
+    // one). index_of[id - first_id] is the request a frame id answers.
+    const std::uint64_t first_id = next_id_;
+    std::vector<std::size_t> index_of;
     std::string batch;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (answered[i]) continue;
-      const std::uint64_t id = next_id_++;
-      pending.emplace(id, i);
-      batch += wire::encode_frame(wire::FrameType::kEvalRequest, id,
-                                  wire::encode_request(requests[i]));
+      index_of.push_back(i);
+      wire::append_frame(batch, wire::FrameType::kEvalRequest, next_id_++,
+                         wire::encode_request(requests[i]));
     }
     if (!send_all(fd_, batch.data(), batch.size())) {
       disconnect();
       continue;  // retry budget spent on the reconnect
     }
 
+    // The unanswered request a frame id names, or nullopt (stale/unknown).
+    const auto pending_index =
+        [&](std::uint64_t id) -> std::optional<std::size_t> {
+      if (id < first_id || id - first_id >= index_of.size()) return {};
+      const std::size_t index = index_of[id - first_id];
+      if (answered[index]) return {};
+      return index;
+    };
+    // Answers every request still pending with one failure.
+    const auto fail_pending = [&](EvalStatus status,
+                                  const std::string& message) {
+      for (const std::size_t index : index_of) {
+        if (answered[index]) continue;
+        out[index] = failed_response(status, message);
+        answered[index] = true;
+      }
+    };
+
+    std::size_t pending = index_of.size();
     bool retry = false;
-    while (!pending.empty() && !retry) {
+    while (pending > 0 && !retry) {
       wire::Frame frame;
-      std::string storage;
       EvalStatus fail = EvalStatus::kInternal;
-      if (!read_frame(frame, storage, fail)) {
+      if (!read_frame(frame, fail)) {
         if (fail == EvalStatus::kDisconnected) {
           retry = true;  // daemon died/drained under us: reconnect + resend
           disconnect();
@@ -182,25 +178,22 @@ std::vector<EvalResponse> EvalClient::evaluate(
         // Timeout or corrupt stream: answer everything still pending with
         // the failure and stop — retrying a timeout would double the wait,
         // and a corrupt stream has no frame boundaries left to retry on.
-        for (const auto& [id, index] : pending) {
-          out[index] = failed_response(
-              fail, std::string("no response: ") +
-                        eval::status_name(fail));
-          answered[index] = true;
-        }
+        fail_pending(fail,
+                     std::string("no response: ") + eval::status_name(fail));
         disconnect();
         return out;
       }
 
       if (frame.type == wire::FrameType::kEvalResponse) {
-        const auto it = pending.find(frame.id);
-        if (it == pending.end()) continue;  // stale duplicate: ignore
-        if (!wire::decode_response(frame.payload, out[it->second])) {
-          out[it->second] = failed_response(EvalStatus::kBadFrame,
-                                            "malformed response payload");
+        const auto index = pending_index(frame.id);
+        if (!index) continue;  // stale duplicate: ignore
+        // Decoded in place: the payload views the receive buffer.
+        if (!wire::decode_response(frame.payload, out[*index])) {
+          out[*index] = failed_response(EvalStatus::kBadFrame,
+                                        "malformed response payload");
         }
-        answered[it->second] = true;
-        pending.erase(it);
+        answered[*index] = true;
+        --pending;
       } else if (frame.type == wire::FrameType::kError) {
         eval::EvalError error;
         if (!wire::decode_error(frame.payload, error)) {
@@ -213,17 +206,13 @@ std::vector<EvalResponse> EvalClient::evaluate(
           disconnect();
           break;
         }
-        const auto it = pending.find(frame.id);
-        if (it != pending.end()) {
-          out[it->second] = failed_response(error.status, error.message);
-          answered[it->second] = true;
-          pending.erase(it);
+        if (const auto index = pending_index(frame.id)) {
+          out[*index] = failed_response(error.status, error.message);
+          answered[*index] = true;
+          --pending;
         } else {
           // Connection-level error (id 0): everything pending is dead.
-          for (const auto& [id, index] : pending) {
-            out[index] = failed_response(error.status, error.message);
-            answered[index] = true;
-          }
+          fail_pending(error.status, error.message);
           disconnect();
           return out;
         }
@@ -254,9 +243,8 @@ bool EvalClient::control_roundtrip(wire::FrameType send_type,
   }
   while (true) {
     wire::Frame frame;
-    std::string storage;
     EvalStatus fail = EvalStatus::kInternal;
-    if (!read_frame(frame, storage, fail)) {
+    if (!read_frame(frame, fail)) {
       disconnect();
       return false;
     }

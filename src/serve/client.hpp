@@ -25,11 +25,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "eval/api.hpp"
 #include "eval/wire.hpp"
+#include "serve/frame_io.hpp"
 
 namespace adse::serve {
 
@@ -85,15 +85,15 @@ class EvalClient final : public eval::Evaluator {
                          eval::wire::FrameType want_type, std::string* payload);
 
   /// Reads until one complete frame is decoded (deadline-bounded) or the
-  /// stream dies. Returns false on timeout/disconnect/corruption; `status`
-  /// reports which.
-  bool read_frame(eval::wire::Frame& frame, std::string& storage,
-                  eval::EvalStatus& status);
+  /// stream dies. The frame's payload views the receive buffer and stays
+  /// valid until the next read_frame. Returns false on
+  /// timeout/disconnect/corruption; `status` reports which.
+  bool read_frame(eval::wire::Frame& frame, eval::EvalStatus& status);
 
   ClientOptions options_;
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
-  std::string buffer_;  ///< unparsed bytes carried across read_frame calls
+  FrameReader reader_;  ///< unparsed bytes carried across read_frame calls
 };
 
 }  // namespace adse::serve

@@ -869,5 +869,11 @@ TEST_F(ResultStoreTest, TagIsStableAndDiscriminates) {
   EXPECT_NE(ResultStore::tag("sim"), ResultStore::tag("proxy"));
 }
 
+TEST(ResultStoreFormat, SimTagIsPinned) {
+  // Every persisted simulator record carries this tag: it is the byte-wise
+  // FNV-1a of "sim", and any change to it orphans every existing store.
+  EXPECT_EQ(ResultStore::tag("sim"), 0x82489e195cecbf94ULL);
+}
+
 }  // namespace
 }  // namespace adse::eval
