@@ -332,7 +332,7 @@ TEST(McFuzz, ReproFileRoundTripsThroughDisk) {
   v.point.num_cores = 4;
   v.inject = InjectedBug::kSkipDowngrade;
   v.message = "walk failed";
-  check::save_repro(dir, v);
+  check::save_repros(dir, {&v, 1});
   EXPECT_EQ(v.repro_path, dir + "/mc-repro-3-11.txt");
   const Violation back = check::load_repro(v.repro_path);
   EXPECT_EQ(back.point.num_cores, 4);
