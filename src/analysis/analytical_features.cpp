@@ -170,17 +170,16 @@ AnalyticalFeatures analyze(const TraceSummary& summary,
   // One op at a time: a full pipeline traversal plus its execution latency,
   // and for memory ops every line priced as a cold miss through every level
   // — own port slots, both dirty-writeback slots, the prefetch traffic it
-  // may trigger, and the full L1+L2+RAM latency path. The hierarchy instance
-  // supplies the exact clock-domain conversions.
-  const mem::MemoryHierarchy pricing(config.mem, config::kCoreClockGhz);
+  // may trigger, and the full L1+L2+RAM latency path. mem::level_timing
+  // supplies the hierarchy's exact clock-domain conversions.
+  const mem::LevelTiming timing =
+      mem::level_timing(config.mem, config::kCoreClockGhz);
   const double prefetch_traffic =
       static_cast<double>(config.mem.prefetch_distance) *
-      (pricing.l2_interval_core() + 2.0 * pricing.ram_interval_core());
-  f.line_cost =
-      pricing.l1_interval_core() + 2.0 * pricing.l2_interval_core() +
-      2.0 * pricing.ram_interval_core() + prefetch_traffic +
-      pricing.l1_latency_core() + pricing.l2_latency_core() +
-      pricing.ram_latency_core();
+      (timing.l2_interval + 2.0 * timing.ram_interval);
+  f.line_cost = timing.l1_interval + 2.0 * timing.l2_interval +
+                2.0 * timing.ram_interval + prefetch_traffic +
+                timing.l1_latency + timing.l2_latency + timing.ram_latency;
   f.memory_lines = summary.lines_for(
       static_cast<std::uint32_t>(config.mem.cache_line_bytes));
   f.serial_exec_cycles = summary.serial_exec_cycles;

@@ -12,11 +12,6 @@ namespace adse::coherence {
 
 namespace {
 
-/// DRAM service time per line request at 1 GHz DRAM clock — the same
-/// bandwidth constant MemoryHierarchy uses (duplicated because it is a
-/// private implementation detail there; DESIGN.md §16 pins both to 4.0).
-constexpr double kRamServiceNsAt1Ghz = 4.0;
-
 constexpr std::array<const char*, 4> kBugNames = {
     "none", "drop_inval_ack", "leak_sharer_bit", "skip_downgrade"};
 
@@ -42,12 +37,12 @@ TiledMemory::TiledMemory(const config::CpuConfig& cfg, double core_clock_ghz,
                          const TiledOptions& options)
     : tiles_(cfg.mc.num_cores),
       inject_(options.inject),
-      inject_armed_(options.inject != InjectedBug::kNone) {
+      inject_armed_(options.inject != InjectedBug::kNone),
+      timing_(mem::level_timing(cfg.mem, core_clock_ghz)) {
   ADSE_REQUIRE_MSG(tiles_ >= 1 && tiles_ <= 32 &&
                        std::has_single_bit(static_cast<unsigned>(tiles_)),
                    "tile count must be a power of two in [1,32], got "
                        << tiles_);
-  ADSE_REQUIRE(core_clock_ghz > 0);
   const auto& mem = cfg.mem;
   line_bytes_ = static_cast<std::uint32_t>(mem.cache_line_bytes);
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes_));
@@ -66,14 +61,6 @@ TiledMemory::TiledMemory(const config::CpuConfig& cfg, double core_clock_ghz,
   }
   l1_free_.assign(static_cast<std::size_t>(tiles_), 0.0);
   l2_free_.assign(static_cast<std::size_t>(tiles_), 0.0);
-
-  // Clock-domain conversions, identical to MemoryHierarchy.
-  l1_lat_core_ = mem.l1_latency_cycles * core_clock_ghz / mem.l1_clock_ghz;
-  l2_lat_core_ = mem.l2_latency_cycles * core_clock_ghz / mem.l2_clock_ghz;
-  ram_lat_core_ = mem.ram_latency_ns * core_clock_ghz;
-  l1_interval_ = core_clock_ghz / mem.l1_clock_ghz / 2.0;
-  l2_interval_ = core_clock_ghz / mem.l2_clock_ghz;
-  ram_interval_ = kRamServiceNsAt1Ghz / mem.ram_clock_ghz * core_clock_ghz;
 }
 
 double TiledMemory::net(int a, int b) const {
@@ -156,7 +143,7 @@ double TiledMemory::forced_invalidate(const DirEntry& victim, int slice,
     const mem::Eviction ev =
         l2_[static_cast<std::size_t>(slice)].insert(victim.line_addr, true);
     if (ev.evicted) handle_l2_eviction(slice, ev);
-    l2_free_[static_cast<std::size_t>(slice)] += l2_interval_;
+    l2_free_[static_cast<std::size_t>(slice)] += timing_.l2_interval;
   }
   return t + worst_round_trip + count * kInvalServiceCoreCycles;
 }
@@ -181,7 +168,7 @@ void TiledMemory::handle_l1_eviction(int tile, std::uint64_t line_addr,
     const mem::Eviction ev =
         l2_[static_cast<std::size_t>(h)].insert(line_addr, true);
     if (ev.evicted) handle_l2_eviction(h, ev);
-    l2_free_[static_cast<std::size_t>(h)] += l2_interval_;
+    l2_free_[static_cast<std::size_t>(h)] += timing_.l2_interval;
   }
   if (inject_ == InjectedBug::kLeakSharerBit && inject_armed_ && !dirty) {
     inject_armed_ = false;
@@ -213,7 +200,7 @@ void TiledMemory::handle_l2_eviction(int slice, const mem::Eviction& ev) {
   }
   if (dirty) {
     stats_.dirty_writebacks++;
-    ram_free_ += ram_interval_;  // bandwidth only, off the critical path
+    ram_free_ += timing_.ram_interval;  // bandwidth only, off the critical path
   }
 }
 
@@ -229,7 +216,7 @@ double TiledMemory::line_request(int tile, std::uint64_t line_addr,
 
   // L1 port.
   start = std::max(start, l1_free_[ti]);
-  l1_free_[ti] = start + l1_interval_;
+  l1_free_[ti] = start + timing_.l1_interval;
 
   mem::Cache& l1 = l1_[ti];
   if (l1.contains(line_addr)) {
@@ -237,14 +224,14 @@ double TiledMemory::line_request(int tile, std::uint64_t line_addr,
     if (!is_store || l1.dirty(line_addr)) {
       // Read hit (S or M) or write hit in M: purely local.
       l1.access(line_addr, is_store);
-      return start + l1_lat_core_;
+      return start + timing_.l1_latency;
     }
     // Write hit in S: upgrade. The home invalidates the other sharers and
     // grants ownership once every ack is in.
     l1.access(line_addr, false);
     const int h = home(line_addr);
     const auto hs = static_cast<std::size_t>(h);
-    double t = start + l1_lat_core_ + net(tile, h);
+    double t = start + timing_.l1_latency + net(tile, h);
     stats_.directory_lookups++;
     DirEntry* e = dir_[hs].find(line_addr);
     ADSE_REQUIRE_MSG(e != nullptr && (e->sharers & bit(tile)) != 0,
@@ -262,7 +249,7 @@ double TiledMemory::line_request(int tile, std::uint64_t line_addr,
   const int h = home(line_addr);
   const auto hs = static_cast<std::size_t>(h);
   if (h != tile) stats_.remote_requests++;
-  double t = start + l1_lat_core_ + net(tile, h);
+  double t = start + timing_.l1_latency + net(tile, h);
   stats_.directory_lookups++;
   std::optional<DirEntry> victim;
   DirEntry* e = dir_[hs].get_or_alloc(line_addr, &victim);
@@ -287,7 +274,7 @@ double TiledMemory::line_request(int tile, std::uint64_t line_addr,
     stats_.l2_writes++;
     const mem::Eviction wb = l2_[hs].insert(line_addr, true);
     if (wb.evicted) handle_l2_eviction(h, wb);
-    l2_free_[hs] += l2_interval_;
+    l2_free_[hs] += timing_.l2_interval;
     if (is_store) {
       stats_.invalidations_sent++;
       const bool present = l1_[os].invalidate(line_addr);
@@ -316,17 +303,17 @@ double TiledMemory::line_request(int tile, std::uint64_t line_addr,
   // memory controller.
   stats_.l2_reads++;
   double t2 = std::max(t, l2_free_[hs]);
-  l2_free_[hs] = t2 + l2_interval_;
+  l2_free_[hs] = t2 + timing_.l2_interval;
   double data_ready;
   if (l2_[hs].access(line_addr, false)) {
     stats_.l2_hits++;
-    data_ready = t2 + l2_lat_core_;
+    data_ready = t2 + timing_.l2_latency;
   } else {
     stats_.l2_misses++;
     stats_.ram_requests++;
-    const double r = std::max(t2 + l2_lat_core_, ram_free_);
-    ram_free_ = r + ram_interval_;
-    data_ready = r + ram_lat_core_;
+    const double r = std::max(t2 + timing_.l2_latency, ram_free_);
+    ram_free_ = r + timing_.ram_interval;
+    data_ready = r + timing_.ram_latency;
     const mem::Eviction ev = l2_[hs].insert(line_addr, false);
     if (ev.evicted) handle_l2_eviction(h, ev);
   }

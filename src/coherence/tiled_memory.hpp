@@ -22,8 +22,8 @@
 ///   6. L2 slices are inclusive of the L1s, and every tracked line lives at
 ///      its home slice.
 ///
-/// Timing follows MemoryHierarchy's conventions (same clock-domain formulas,
-/// same port-interval model, same DRAM service constant) plus a ring network:
+/// Timing follows MemoryHierarchy's conventions (the same mem::level_timing
+/// conversions, the same port-interval model) plus a ring network:
 /// each hop between tiles costs kHopCoreCycles. The tiled model deliberately
 /// omits the prefetcher — coherent prefetching is its own research problem —
 /// so `prefetch_distance` is ignored in multicore mode.
@@ -88,7 +88,6 @@ class TiledMemory {
 
   int num_tiles() const { return tiles_; }
   const CoherenceStats& stats() const { return stats_; }
-  double l1_latency_core() const { return l1_lat_core_; }
 
   /// The tile whose L2 slice (and directory) is home to this line.
   int home(std::uint64_t addr) const {
@@ -165,12 +164,7 @@ class TiledMemory {
   std::vector<Directory> dir_;      // one per slice
 
   // Latencies / port intervals in core cycles (MemoryHierarchy's formulas).
-  double l1_lat_core_ = 0;
-  double l2_lat_core_ = 0;
-  double ram_lat_core_ = 0;
-  double l1_interval_ = 0;
-  double l2_interval_ = 0;
-  double ram_interval_ = 0;
+  mem::LevelTiming timing_;
 
   std::vector<double> l1_free_;  // per tile
   std::vector<double> l2_free_;  // per slice

@@ -86,7 +86,7 @@ const analysis::TraceSummary& FusedModel::summary(kernels::App app,
 }
 
 bool FusedModel::observe(kernels::App app, const config::CpuConfig& config,
-                         double cycles) {
+                         double cycles, ThreadPool* pool) {
   const auto params = config::feature_vector(config);
   // Build the summary first (summary() takes the lock itself).
   const analysis::TraceSummary& digest =
@@ -134,7 +134,7 @@ bool FusedModel::observe(kernels::App app, const config::CpuConfig& config,
     train = &subsample;
   }
   auto forest = std::make_shared<ml::RandomForestRegressor>(forest_options);
-  forest->fit(*train);
+  forest->fit(*train, pool);
   model.forest = std::move(forest);
   model.fitted_rows = rows;
   refits_++;

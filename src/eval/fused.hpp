@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "analysis/analytical_features.hpp"
+#include "common/thread_pool.hpp"
 #include "config/cpu_config.hpp"
 #include "kernels/workloads.hpp"
 #include "ml/dataset.hpp"
@@ -95,9 +96,11 @@ class FusedModel {
 
   /// Feeds one ground-truth result. Duplicate (app, config) observations
   /// are ignored (memo/store-served repeats must not skew the training
-  /// distribution). Returns true when the observation triggered a refit.
+  /// distribution). Returns true when the observation triggered a refit,
+  /// whose trees are fitted on `pool` when one is given (the forest is the
+  /// same either way).
   bool observe(kernels::App app, const config::CpuConfig& config,
-               double cycles);
+               double cycles, ThreadPool* pool = nullptr);
 
   /// Safe to call concurrently with itself and with observe(): the lock
   /// covers only the copy of the app's forest snapshot.

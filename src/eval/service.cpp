@@ -169,8 +169,8 @@ void EvalService::fill_from_slot(const EvalRequest& request, const Slot& slot,
 }
 
 EvalService::ChunkRunner EvalService::backend_runner(const Backend& backend) {
-  return [this, &backend](std::span<const EvalRequest> requests,
-                          std::span<const std::size_t> members) {
+  const auto run = [this, &backend](std::span<const EvalRequest> requests,
+                                    std::span<const std::size_t> members) {
     batch_width_->observe(static_cast<double>(members.size()));
     const EvalRequest& first = requests[members.front()];
     std::vector<config::CpuConfig> configs;
@@ -180,11 +180,16 @@ EvalService::ChunkRunner EvalService::backend_runner(const Backend& backend) {
         configs, first.app,
         traces_.get(first.app, first.config.core.vector_length_bits));
   };
+  const auto trace_length = [this](const EvalRequest& request) {
+    return traces_.get(request.app, request.config.core.vector_length_bits)
+        .ops.size();
+  };
+  return {run, trace_length};
 }
 
 std::optional<std::string> EvalService::run_chunk(
     std::span<const EvalRequest> requests, std::span<const Claim> claims,
-    bool persist, const ChunkRunner& run, std::span<EvalResponse> out) {
+    bool persist, const RunChunk& run, std::span<EvalResponse> out) {
   obs::Span span("eval.backend_run_batch", "eval");
   span.set_detail(std::to_string(claims.size()) + " lanes");
   std::vector<std::size_t> members;
@@ -238,7 +243,7 @@ std::optional<std::string> EvalService::run_chunk(
 
 std::vector<EvalResponse> EvalService::run_pipeline(
     std::span<const EvalRequest> requests, std::uint64_t tag, bool persist,
-    const ChunkRunner& run, const Progress& progress) {
+    const ChunkRunner& runner, const Progress& progress) {
   std::vector<EvalResponse> out(requests.size());
   std::atomic<std::size_t> completed{0};
   const auto note_done = [&] {
@@ -289,27 +294,50 @@ std::vector<EvalResponse> EvalService::run_pipeline(
     }
   }
 
-  // 2. Group the claims by (app, VL) — a chunk shares one trace — into
-  // chunks of at most batch_k lanes, in request order within a group.
-  const auto group = [&](const Claim& claim) {
-    const EvalRequest& request = requests[claim.index];
-    return std::pair{static_cast<int>(request.app),
-                     request.config.core.vector_length_bits};
-  };
-  std::stable_sort(claims.begin(), claims.end(),
-                   [&](const Claim& a, const Claim& b) {
-                     return group(a) < group(b);
-                   });
+  // 2. Chunk the claims. A pipeline with at most batch_k claims per runner
+  // (the pool's threads plus the caller) — a routed round's sims, a small
+  // daemon batch — runs one lane per chunk, longest first by the runner's
+  // lane cost, so no runner idles while another works through a multi-lane
+  // chunk or starts the longest run last. A larger one groups its claims by
+  // (app, VL) — a chunk shares one trace — into chunks of at most batch_k
+  // lanes, in request order within a group.
   const std::size_t k = static_cast<std::size_t>(std::max(batch_k_, 1));
   std::vector<std::span<const Claim>> chunks;
-  for (std::size_t begin = 0; begin < claims.size();) {
-    std::size_t end = begin + 1;
-    while (end < claims.size() && end - begin < k &&
-           group(claims[end]) == group(claims[begin])) {
-      ++end;
+  if (claims.size() <= k * (pool_.size() + 1)) {
+    if (runner.lane_cost) {
+      std::vector<std::pair<std::size_t, Claim>> ranked;
+      ranked.reserve(claims.size());
+      for (const Claim& claim : claims) {
+        ranked.emplace_back(runner.lane_cost(requests[claim.index]), claim);
+      }
+      std::stable_sort(ranked.begin(), ranked.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first > b.first;
+                       });
+      for (std::size_t i = 0; i < claims.size(); ++i) {
+        claims[i] = ranked[i].second;
+      }
     }
-    chunks.emplace_back(claims.data() + begin, end - begin);
-    begin = end;
+    for (const Claim& claim : claims) chunks.emplace_back(&claim, 1);
+  } else {
+    const auto group = [&](const Claim& claim) {
+      const EvalRequest& request = requests[claim.index];
+      return std::pair{static_cast<int>(request.app),
+                       request.config.core.vector_length_bits};
+    };
+    std::stable_sort(claims.begin(), claims.end(),
+                     [&](const Claim& a, const Claim& b) {
+                       return group(a) < group(b);
+                     });
+    for (std::size_t begin = 0; begin < claims.size();) {
+      std::size_t end = begin + 1;
+      while (end < claims.size() && end - begin < k &&
+             group(claims[end]) == group(claims[begin])) {
+        ++end;
+      }
+      chunks.emplace_back(claims.data() + begin, end - begin);
+      begin = end;
+    }
   }
 
   // 3. Run the chunks across the pool (a single chunk inline). A failed
@@ -322,7 +350,7 @@ std::vector<EvalResponse> EvalService::run_pipeline(
   };
   std::vector<std::optional<std::string>> errors(chunks.size());
   const auto run_one = [&](std::size_t c) {
-    errors[c] = run_chunk(requests, chunks[c], persist, run, out);
+    errors[c] = run_chunk(requests, chunks[c], persist, runner.run, out);
     if (errors[c]) return;
     for (std::size_t lane = 0; lane < chunks[c].size(); ++lane) note_done();
   };
@@ -355,7 +383,8 @@ std::vector<EvalResponse> EvalService::run_pipeline(
     } else {
       claim.slot->state = Slot::State::kRunning;
       lock.unlock();
-      if (auto error = run_chunk(requests, {&claim, 1}, persist, run, out)) {
+      if (auto error =
+              run_chunk(requests, {&claim, 1}, persist, runner.run, out)) {
         fail(claim, std::move(*error));
         continue;
       }
@@ -448,7 +477,8 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
       const EvalRequest& request = sim_requests[m];
       if (sim_results[m].ok() &&
           model.observe(request.app, request.config,
-                        static_cast<double>(sim_results[m].cycles()))) {
+                        static_cast<double>(sim_results[m].cycles()),
+                        &pool_)) {
         refit[static_cast<std::size_t>(request.app)] = true;
         residual_refits_->add(1);
       }
@@ -466,12 +496,10 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
     // Surrogate side: the same pipeline with a trace-free runner whose
     // answers are the gated predictions (re-predicted from the new snapshot
     // for an app that refit above), memoised under this model's tag and
-    // never persisted.
-    const std::vector<EvalRequest> fused_requests = gather(fused_members);
-    std::vector<EvalResponse> fused_results = run_pipeline(
-        fused_requests, surrogate_tag, false,
-        [&](std::span<const EvalRequest> batch,
-            std::span<const std::size_t> members) {
+    // never persisted. It has no lane cost, so it never builds a trace.
+    const ChunkRunner surrogate{
+        .run = [&](std::span<const EvalRequest> batch,
+                   std::span<const std::size_t> members) {
           std::vector<sim::RunResult> answers;
           answers.reserve(members.size());
           for (const std::size_t m : members) {
@@ -485,7 +513,10 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
           }
           return answers;
         },
-        {});
+        .lane_cost = nullptr};
+    const std::vector<EvalRequest> fused_requests = gather(fused_members);
+    std::vector<EvalResponse> fused_results = run_pipeline(
+        fused_requests, surrogate_tag, false, surrogate, {});
     scatter(fused_members, fused_results);
     routed_surrogate_->add(fused_members.size());
     if (progress) progress(start + window.size(), requests.size());

@@ -181,8 +181,17 @@ class EvalService final : public Evaluator {
 
   /// Answers a chunk of a batch's requests — the members, which share an app
   /// and vector length — with one result per member, in member order.
-  using ChunkRunner = std::function<std::vector<sim::RunResult>(
+  using RunChunk = std::function<std::vector<sim::RunResult>(
       std::span<const EvalRequest> batch, std::span<const std::size_t> members)>;
+
+  /// How a pipeline answers its claims. `lane_cost`, when set, ranks one
+  /// request's run time, and a small pipeline starts its one-lane chunks
+  /// in falling cost order. The backend runner ranks by trace length; the
+  /// surrogate runner sets none, so it never builds a trace.
+  struct ChunkRunner {
+    RunChunk run;
+    std::function<std::size_t(const EvalRequest&)> lane_cost;
+  };
 
   Shard& shard_for(const MemoKey& key);
 
@@ -193,16 +202,18 @@ class EvalService final : public Evaluator {
                       ResultSource source, EvalResponse& out);
 
   /// The one evaluation pipeline (DESIGN.md §8): resolve and claim every
-  /// request against the memo under `tag`; group the claims by (app, VL)
-  /// into chunks of at most batch_k lanes; run the chunks through `run` on
-  /// the pool (a single chunk inline); join the requests whose slots another
-  /// caller is running. A chunk that throws InvariantError is reverted: a
-  /// one-lane chunk's request fails with kBackendError, the members of a
-  /// wider one are re-claimed and run alone in the join step. Fresh answers
-  /// are persisted when `persist`.
+  /// request against the memo under `tag`; chunk the claims — one lane per
+  /// chunk, longest first, when there are at most batch_k per runner (pool
+  /// threads plus the caller), else grouped by (app, VL) into chunks of at
+  /// most batch_k lanes; run the chunks through `runner` on the pool (a
+  /// single chunk inline); join the requests whose slots another caller is
+  /// running. A chunk that throws InvariantError is reverted: a one-lane
+  /// chunk's request fails with kBackendError, the members of a wider one
+  /// are re-claimed and run alone in the join step. Fresh answers are
+  /// persisted when `persist`.
   std::vector<EvalResponse> run_pipeline(std::span<const EvalRequest> requests,
                                          std::uint64_t tag, bool persist,
-                                         const ChunkRunner& run,
+                                         const ChunkRunner& runner,
                                          const Progress& progress);
 
   /// Runs `claims` as one chunk and publishes the answers into `out`
@@ -210,7 +221,7 @@ class EvalService final : public Evaluator {
   /// every claim and returns the message instead.
   std::optional<std::string> run_chunk(std::span<const EvalRequest> requests,
                                        std::span<const Claim> claims,
-                                       bool persist, const ChunkRunner& run,
+                                       bool persist, const RunChunk& run,
                                        std::span<EvalResponse> out);
 
   /// The ChunkRunner that runs members on `backend` with their app's trace.

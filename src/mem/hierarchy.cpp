@@ -22,35 +22,43 @@ constexpr std::uint64_t kPageBytes = 4096;
 
 }  // namespace
 
+LevelTiming level_timing(const config::MemParams& params,
+                         double core_clock_ghz,
+                         const FidelityOptions& fidelity) {
+  ADSE_REQUIRE(core_clock_ghz > 0);
+  LevelTiming t;
+  // Latency conversion: N level-clock cycles = N / level_clock ns
+  //                    = N * core_clock / level_clock core cycles.
+  t.l1_latency =
+      params.l1_latency_cycles * core_clock_ghz / params.l1_clock_ghz;
+  t.l2_latency =
+      params.l2_latency_cycles * core_clock_ghz / params.l2_clock_ghz;
+  t.ram_latency =
+      params.ram_latency_ns * core_clock_ghz * fidelity.dram_latency_scale;
+
+  // Port service: the (dual-ported, TX2-like) L1 serves two requests per L1
+  // clock cycle, L2 one per L2 cycle; DRAM one line per
+  // kRamServiceNsAt1Ghz / ram_clock ns.
+  t.l1_interval = core_clock_ghz / params.l1_clock_ghz / 2.0;
+  t.l2_interval = core_clock_ghz / params.l2_clock_ghz;
+  t.ram_interval = kRamServiceNsAt1Ghz / params.ram_clock_ghz *
+                   core_clock_ghz * fidelity.dram_interval_scale;
+  return t;
+}
+
 MemoryHierarchy::MemoryHierarchy(const config::MemParams& params,
                                  double core_clock_ghz,
                                  const FidelityOptions& fidelity)
     : params_(params),
       fidelity_(fidelity),
       core_clock_ghz_(core_clock_ghz),
+      timing_(level_timing(params, core_clock_ghz, fidelity)),
       l1_(CacheGeometry{static_cast<std::uint64_t>(params.l1_size_kib) * 1024,
                         static_cast<std::uint32_t>(params.cache_line_bytes),
                         static_cast<std::uint32_t>(params.l1_assoc)}),
       l2_(CacheGeometry{static_cast<std::uint64_t>(params.l2_size_kib) * 1024,
                         static_cast<std::uint32_t>(params.cache_line_bytes),
                         static_cast<std::uint32_t>(params.l2_assoc)}) {
-  ADSE_REQUIRE(core_clock_ghz > 0);
-
-  // Latency conversion: N level-clock cycles = N / level_clock ns
-  //                    = N * core_clock / level_clock core cycles.
-  l1_lat_core_ = params.l1_latency_cycles * core_clock_ghz_ / params.l1_clock_ghz;
-  l2_lat_core_ = params.l2_latency_cycles * core_clock_ghz_ / params.l2_clock_ghz;
-  ram_lat_core_ =
-      params.ram_latency_ns * core_clock_ghz_ * fidelity_.dram_latency_scale;
-
-  // Port service: the (dual-ported, TX2-like) L1 serves two requests per L1
-  // clock cycle, L2 one per L2 cycle; DRAM one line per
-  // kRamServiceNsAt1Ghz / ram_clock ns.
-  l1_interval_ = core_clock_ghz_ / params.l1_clock_ghz / 2.0;
-  l2_interval_ = core_clock_ghz_ / params.l2_clock_ghz;
-  ram_interval_ = kRamServiceNsAt1Ghz / params.ram_clock_ghz * core_clock_ghz_ *
-                  fidelity_.dram_interval_scale;
-
   if (fidelity_.finite_banks > 0) {
     bank_free_.assign(static_cast<std::size_t>(fidelity_.finite_banks), 0.0);
     bank_last_line_.assign(static_cast<std::size_t>(fidelity_.finite_banks),
@@ -123,14 +131,14 @@ std::uint64_t MemoryHierarchy::line_request(std::uint64_t line_addr,
       }
       // Bank busy for four L1 clock cycles after a line switch (non-pipelined
       // subarray read for a new row).
-      bank_free_[bank] = start + 8.0 * l1_interval_;
+      bank_free_[bank] = start + 8.0 * timing_.l1_interval;
       bank_last_line_[bank] = line_index;
     }
   }
 
   // L1 port.
   start = std::max(start, l1_free_);
-  l1_free_ = start + l1_interval_;
+  l1_free_ = start + timing_.l1_interval;
 
   start += tlb_penalty(line_addr);
 
@@ -140,7 +148,7 @@ std::uint64_t MemoryHierarchy::line_request(std::uint64_t line_addr,
 
   if (l1_.access(line_addr, is_store)) {
     stats_.l1_hits++;
-    double ready = start + l1_lat_core_;
+    double ready = start + timing_.l1_latency;
     // An in-flight prefetched line is not usable before it arrives.
     const auto it = inflight_fills_.find(line_addr);
     if (it != inflight_fills_.end()) {
@@ -159,35 +167,37 @@ std::uint64_t MemoryHierarchy::line_request(std::uint64_t line_addr,
 
   // L2 port + lookup.
   stats_.l2_reads++;
-  double t = std::max(start + l1_lat_core_, l2_free_);
-  l2_free_ = t + l2_interval_;
+  double t = std::max(start + timing_.l1_latency, l2_free_);
+  l2_free_ = t + timing_.l2_interval;
 
   double ready;
   bool served_by_l2 = false;
   if (l2_.access(line_addr, false)) {
     stats_.l2_hits++;
     served_by_l2 = true;
-    ready = t + l2_lat_core_;
+    ready = t + timing_.l2_latency;
     const auto it = inflight_fills_.find(line_addr);
     if (it != inflight_fills_.end()) {
       // Prefetch staged this line but it has not landed yet.
-      if (it->second + l2_lat_core_ > ready) ready = it->second + l2_lat_core_;
+      if (it->second + timing_.l2_latency > ready) {
+        ready = it->second + timing_.l2_latency;
+      }
       if (it->second <= start) inflight_fills_.erase(it);
     }
   } else {
     stats_.l2_misses++;
     // DRAM port + access.
-    double r = std::max(t + l2_lat_core_, ram_free_);
-    ram_free_ = r + ram_interval_;
+    double r = std::max(t + timing_.l2_latency, ram_free_);
+    ram_free_ = r + timing_.ram_interval;
     stats_.ram_requests++;
-    ready = r + ram_lat_core_;
+    ready = r + timing_.ram_latency;
 
     // Fill L2; a dirty victim costs a DRAM writeback slot (bandwidth only —
     // the demand request does not wait for it).
     const Eviction l2_ev = l2_.insert(line_addr, false);
     if (l2_ev.evicted && l2_ev.dirty) {
       stats_.dirty_writebacks++;
-      ram_free_ += ram_interval_;
+      ram_free_ += timing_.ram_interval;
     }
   }
 
@@ -196,7 +206,7 @@ std::uint64_t MemoryHierarchy::line_request(std::uint64_t line_addr,
   if (l1_ev.evicted && l1_ev.dirty) {
     stats_.l2_writes++;
     l2_.insert(l1_ev.line_addr, true);
-    l2_free_ += l2_interval_;
+    l2_free_ += timing_.l2_interval;
   }
 
   if (!mshr_busy_until_.empty()) {
@@ -234,17 +244,17 @@ void MemoryHierarchy::prefetch_after_miss(std::uint64_t line_addr,
     if (l2_.contains(pf)) {
       if (!fidelity_.prefetch_into_l1) continue;  // already staged in L2
       const double t2 = std::max(l2_free_, start);
-      l2_free_ = t2 + l2_interval_;
-      arrival = t2 + l2_lat_core_;
+      l2_free_ = t2 + timing_.l2_interval;
+      arrival = t2 + timing_.l2_latency;
     } else {
       const double tr = std::max(ram_free_, start);
-      ram_free_ = tr + ram_interval_;
+      ram_free_ = tr + timing_.ram_interval;
       stats_.ram_requests++;
-      arrival = tr + ram_lat_core_;
+      arrival = tr + timing_.ram_latency;
       const Eviction l2_ev = l2_.insert(pf, false);
       if (l2_ev.evicted && l2_ev.dirty) {
         stats_.dirty_writebacks++;
-        ram_free_ += ram_interval_;
+        ram_free_ += timing_.ram_interval;
       }
     }
     if (fidelity_.prefetch_into_l1) {
@@ -252,7 +262,7 @@ void MemoryHierarchy::prefetch_after_miss(std::uint64_t line_addr,
       if (l1_ev.evicted && l1_ev.dirty) {
         stats_.l2_writes++;
         l2_.insert(l1_ev.line_addr, true);
-        l2_free_ += l2_interval_;
+        l2_free_ += timing_.l2_interval;
       }
     }
     inflight_fills_[pf] = arrival;
@@ -266,24 +276,24 @@ void MemoryHierarchy::issue_prefetch_line(std::uint64_t line_addr,
   double arrival;
   if (l2_.contains(line_addr)) {
     const double t2 = std::max(l2_free_, start);
-    l2_free_ = t2 + l2_interval_;
-    arrival = t2 + l2_lat_core_;
+    l2_free_ = t2 + timing_.l2_interval;
+    arrival = t2 + timing_.l2_latency;
   } else {
     const double tr = std::max(ram_free_, start);
-    ram_free_ = tr + ram_interval_;
+    ram_free_ = tr + timing_.ram_interval;
     stats_.ram_requests++;
-    arrival = tr + ram_lat_core_;
+    arrival = tr + timing_.ram_latency;
     const Eviction l2_ev = l2_.insert(line_addr, false);
     if (l2_ev.evicted && l2_ev.dirty) {
       stats_.dirty_writebacks++;
-      ram_free_ += ram_interval_;
+      ram_free_ += timing_.ram_interval;
     }
   }
   const Eviction l1_ev = l1_.insert(line_addr, false);
   if (l1_ev.evicted && l1_ev.dirty) {
     stats_.l2_writes++;
     l2_.insert(l1_ev.line_addr, true);
-    l2_free_ += l2_interval_;
+    l2_free_ += timing_.l2_interval;
   }
   inflight_fills_[line_addr] = arrival;
   stats_.prefetch_fills++;

@@ -65,6 +65,26 @@ struct FidelityOptions {
   int stream_table_entries = 4;
 };
 
+/// The clock-domain conversions of one memory configuration, in (fractional)
+/// core cycles: each level's hit latency and the service interval of its
+/// port (one line request each). Pure arithmetic on the parameters — the one
+/// formula that MemoryHierarchy, coherence::TiledMemory and the analytical
+/// bounds (analysis::analyze, check::Oracle) all price memory with.
+struct LevelTiming {
+  double l1_latency = 0;
+  double l2_latency = 0;
+  double ram_latency = 0;
+  double l1_interval = 0;
+  double l2_interval = 0;
+  double ram_interval = 0;
+};
+
+/// Converts `params`' level clocks and latencies into core cycles at
+/// `core_clock_ghz`, with `fidelity`'s DRAM scales applied.
+LevelTiming level_timing(const config::MemParams& params,
+                         double core_clock_ghz,
+                         const FidelityOptions& fidelity = {});
+
 /// Aggregate access statistics.
 struct MemStats {
   std::uint64_t loads = 0;
@@ -117,20 +137,6 @@ class MemoryHierarchy {
   const MemStats& stats() const { return stats_; }
   const config::MemParams& params() const { return params_; }
 
-  /// L1 hit latency in core cycles (frontier for the core's scheduling).
-  std::uint64_t l1_latency_core_cycles() const { return l1_lat_core_; }
-
-  /// Exact timing constants in (fractional) core cycles, exposed so the
-  /// adse::check reference model prices a worst-case memory access with the
-  /// same clock-domain conversions this hierarchy applies — no duplicated
-  /// formulas to drift.
-  double l1_latency_core() const { return l1_lat_core_; }
-  double l2_latency_core() const { return l2_lat_core_; }
-  double ram_latency_core() const { return ram_lat_core_; }
-  double l1_interval_core() const { return l1_interval_; }
-  double l2_interval_core() const { return l2_interval_; }
-  double ram_interval_core() const { return ram_interval_; }
-
   /// Invalidates caches and timing state (between runs).
   void reset();
 
@@ -156,19 +162,11 @@ class MemoryHierarchy {
   config::MemParams params_;
   FidelityOptions fidelity_;
   double core_clock_ghz_;
+  // Latencies and port service intervals in core cycles.
+  LevelTiming timing_;
 
   Cache l1_;
   Cache l2_;
-
-  // Latencies in core cycles.
-  double l1_lat_core_ = 0;
-  double l2_lat_core_ = 0;
-  double ram_lat_core_ = 0;
-
-  // Port service intervals in core cycles (one request each).
-  double l1_interval_ = 0;
-  double l2_interval_ = 0;
-  double ram_interval_ = 0;
 
   // Port next-free times (fractional core cycles).
   double l1_free_ = 0;

@@ -1,8 +1,10 @@
 #include "ml/forest.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"
 
 namespace adse::ml {
 
@@ -13,47 +15,69 @@ RandomForestRegressor::RandomForestRegressor(const ForestOptions& options)
                options_.sample_fraction <= 1.0);
 }
 
-void RandomForestRegressor::fit(const Dataset& data) {
+void RandomForestRegressor::fit(const Dataset& data, ThreadPool* pool) {
   data.check();
   ADSE_REQUIRE_MSG(data.num_rows() >= 2, "forest needs at least 2 rows");
-  trees_.clear();
   num_features_ = data.num_features();
 
   Rng rng(options_.seed);
   const std::size_t n = data.num_rows();
+  const auto num_trees = static_cast<std::size_t>(options_.num_trees);
   const auto sample_size = static_cast<std::size_t>(
       std::max(1.0, options_.sample_fraction * static_cast<double>(n)));
 
-  // Out-of-bag accumulators.
-  std::vector<double> oob_sum(n, 0.0);
-  std::vector<int> oob_count(n, 0);
-  std::vector<std::uint8_t> in_bag(n);
+  // 1. Each tree's bootstrap resample (with replacement) and then its seed,
+  // tree by tree: the draw order of a serial fit.
+  std::vector<std::size_t> bags(num_trees * sample_size);
+  std::vector<std::uint64_t> seeds(num_trees);
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    for (std::size_t i = 0; i < sample_size; ++i) {
+      bags[t * sample_size + i] = rng.index(n);
+    }
+    seeds[t] = rng.next();
+  }
 
-  trees_.reserve(static_cast<std::size_t>(options_.num_trees));
-  for (int t = 0; t < options_.num_trees; ++t) {
-    // Bootstrap resample (with replacement).
+  // 2. Fit the trees, each with its own out-of-bag predictions; a tree
+  // writes only its own slots.
+  std::vector<DecisionTreeRegressor> trees(num_trees);
+  std::vector<std::uint8_t> in_bag(num_trees * n, 0);
+  std::vector<double> oob_pred(num_trees * n, 0.0);
+  const auto fit_tree = [&](std::size_t t) {
     Dataset sample;
     sample.feature_names = data.feature_names;
-    std::fill(in_bag.begin(), in_bag.end(), 0);
+    std::uint8_t* bagged = in_bag.data() + t * n;
     for (std::size_t i = 0; i < sample_size; ++i) {
-      const std::size_t row = rng.index(n);
-      in_bag[row] = 1;
+      const std::size_t row = bags[t * sample_size + i];
+      bagged[row] = 1;
       sample.add_row(data.x[row], data.y[row]);
     }
-
     TreeOptions tree_options = options_.tree;
     tree_options.max_features = options_.max_features;
-    tree_options.seed = rng.next();
+    tree_options.seed = seeds[t];
     DecisionTreeRegressor tree(tree_options);
     tree.fit(sample);
-
     for (std::size_t row = 0; row < n; ++row) {
-      if (!in_bag[row]) {
-        oob_sum[row] += tree.predict(data.x[row]);
+      if (!bagged[row]) oob_pred[t * n + row] = tree.predict(data.x[row]);
+    }
+    trees[t] = std::move(tree);
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(num_trees, fit_tree);
+  } else {
+    for (std::size_t t = 0; t < num_trees; ++t) fit_tree(t);
+  }
+  trees_ = std::move(trees);
+
+  // 3. Out-of-bag accumulators, summed in tree order.
+  std::vector<double> oob_sum(n, 0.0);
+  std::vector<int> oob_count(n, 0);
+  for (std::size_t t = 0; t < num_trees; ++t) {
+    for (std::size_t row = 0; row < n; ++row) {
+      if (!in_bag[t * n + row]) {
+        oob_sum[row] += oob_pred[t * n + row];
         oob_count[row]++;
       }
     }
-    trees_.push_back(std::move(tree));
   }
 
   double total = 0.0;

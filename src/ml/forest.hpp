@@ -14,6 +14,10 @@
 #include "ml/dataset.hpp"
 #include "ml/decision_tree.hpp"
 
+namespace adse {
+class ThreadPool;
+}  // namespace adse
+
 namespace adse::ml {
 
 /// Ensemble prediction with an uncertainty estimate: the mean of the
@@ -42,8 +46,12 @@ class RandomForestRegressor {
  public:
   explicit RandomForestRegressor(const ForestOptions& options = {});
 
-  /// Fits `num_trees` trees on bootstrap resamples of `data`.
-  void fit(const Dataset& data);
+  /// Fits `num_trees` trees on bootstrap resamples of `data`, on `pool`'s
+  /// threads when one is given. Every tree's bootstrap rows and seed are
+  /// drawn up front in one serial RNG pass, and the out-of-bag sums are
+  /// taken in tree order, so the forest is bit-identical with or without a
+  /// pool and for any pool size.
+  void fit(const Dataset& data, ThreadPool* pool = nullptr);
 
   /// Mean prediction over the ensemble.
   double predict(const std::vector<double>& row) const;

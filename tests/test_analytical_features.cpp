@@ -3,18 +3,26 @@
 /// hand-computed per-resource throughput values, plus the structural
 /// contracts the Oracle and the fused surrogate both lean on: min_cycles is
 /// the max of the named bounds, the summary answers fetch/line queries for
-/// every loop-buffer and line-width without re-decoding, and the extractor
-/// agrees exactly with check::reference_replay on the anchor configs.
+/// every loop-buffer and line-width without re-decoding, the extractor
+/// agrees exactly with check::reference_replay on the anchor configs, and
+/// the serial upper bound's memory pricing is pinned to exact values.
 
 #include "analysis/analytical_features.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "check/check.hpp"
 #include "common/require.hpp"
+#include "common/rng.hpp"
 #include "config/baselines.hpp"
+#include "config/param_space.hpp"
 #include "kernels/kernel_builder.hpp"
 #include "kernels/workloads.hpp"
 
@@ -161,6 +169,72 @@ TEST(AnalyticalFeatures, MatchesReferenceReplayOnAnchorConfigs) {
           << cfg.name << "/" << kernels::app_slug(app);
       EXPECT_EQ(summary.total_ops, oracle.total_ops);
       EXPECT_EQ(summary.sve_ops, oracle.sve_ops);
+    }
+  }
+}
+
+// ---- the serial upper bound, pinned -----------------------------------------
+
+/// The golden-cycles configs (test_golden_cycles.cpp): the ThunderX2
+/// baseline, then the main campaign's per-index stream (seed 42).
+CpuConfig pinned_config(std::size_t row) {
+  if (row == 0) return config::thunderx2_baseline();
+  const config::ParameterSpace space;
+  const std::uint64_t i = static_cast<std::uint64_t>(row) - 1;
+  Rng rng(42ULL * 0x9e3779b97f4a7c15ULL + i * 2 + 1);
+  CpuConfig c = space.sample(rng);
+  c.name = "sampled_" + std::to_string(i);
+  return c;
+}
+
+TEST(AnalyticalFeatures, LineCostAndMaxCyclesArePinned) {
+  // Exact values of the clock-domain conversions (mem::level_timing) as the
+  // serial upper bound prices them, for the ThunderX2 baseline and eight
+  // sampled configs. max_cycles is in kernels::all_apps() order: stream,
+  // minibude, tealeaf, minisweep.
+  struct Row {
+    const char* config;
+    double line_cost;
+    std::uint64_t max_cycles[kernels::kNumApps];
+  };
+  const Row rows[] = {
+      {"thunderx2", 334.18796992481202,
+       {14794685ULL, 2757243ULL, 8523694ULL, 7587341ULL}},
+      {"sampled_0", 432.56330853559604,
+       {9412381ULL, 1795638ULL, 10372044ULL, 9542772ULL}},
+      {"sampled_1", 266.39421453110407,
+       {5732591ULL, 1085481ULL, 6580159ULL, 6070060ULL}},
+      {"sampled_2", 578.26420580388185,
+       {5172121ULL, 968634ULL, 13302319ULL, 12500018ULL}},
+      {"sampled_3", 661.52157992370485,
+       {13825195ULL, 2536389ULL, 15567726ULL, 14313998ULL}},
+      {"sampled_4", 437.78521988543872,
+       {19038132ULL, 3485739ULL, 10992002ULL, 9775315ULL}},
+      {"sampled_5", 502.63064736837305,
+       {5424012ULL, 1108522ULL, 11680665ULL, 10934561ULL}},
+      {"sampled_6", 535.6259911190665,
+       {11246727ULL, 2074100ULL, 12704105ULL, 11687312ULL}},
+      {"sampled_7", 581.3697191172821,
+       {12183605ULL, 2242071ULL, 13744592ULL, 12641709ULL}},
+  };
+  std::map<std::pair<kernels::App, int>, TraceSummary> summaries;
+  for (std::size_t r = 0; r < std::size(rows); ++r) {
+    const CpuConfig cfg = pinned_config(r);
+    ASSERT_EQ(cfg.name, rows[r].config);
+    const int vl = cfg.core.vector_length_bits;
+    for (std::size_t a = 0; a < kernels::kNumApps; ++a) {
+      const kernels::App app = kernels::all_apps()[a];
+      auto it = summaries.find({app, vl});
+      if (it == summaries.end()) {
+        it = summaries
+                 .emplace(std::pair{app, vl},
+                          summarize_trace(kernels::build_app(app, vl)))
+                 .first;
+      }
+      const AnalyticalFeatures f = analyze(it->second, cfg);
+      EXPECT_EQ(f.line_cost, rows[r].line_cost) << cfg.name;
+      EXPECT_EQ(f.max_cycles, rows[r].max_cycles[a])
+          << cfg.name << "/" << kernels::app_slug(app);
     }
   }
 }

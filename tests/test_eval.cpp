@@ -645,13 +645,15 @@ class MarkerBackend final : public Backend {
 };
 
 TEST(EvalService, FailedLaneComesBackAsDataOnAnyPoolAndWidth) {
-  // Twelve stream designs sharing one VL, one of them the marker. Whatever
-  // chunk carries the marker fails as a whole; its other members are re-run
-  // alone, so only the marker is answered kBackendError — the same answers
-  // on 1, 2 and 4 pool threads, one lane or eight per chunk.
+  // Forty-eight stream designs sharing one VL, one of them the marker: more
+  // than batch_k per runner on every pool size, so batch_k 8 cuts them into
+  // eight-lane chunks. Whatever chunk carries the marker fails as a whole;
+  // its other members are re-run alone, so only the marker is answered
+  // kBackendError — the same answers on 1, 2 and 4 pool threads, one lane or
+  // eight per chunk.
   constexpr std::size_t kMarker = 5;
   std::vector<EvalRequest> requests;
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 48; ++i) {
     EvalRequest request = stream_request();
     request.config.core.rob_size =
         i == static_cast<int>(kMarker) ? MarkerBackend::kMarkerRob : 64 + 8 * i;
@@ -689,10 +691,10 @@ TEST(EvalService, FailedLaneComesBackAsDataOnAnyPoolAndWidth) {
         EXPECT_EQ(results[i].cycles(), alone[i].cycles()) << i;
         EXPECT_EQ(results[i].run.config_name, alone[i].run.config_name) << i;
       }
-      EXPECT_EQ(count(service, "eval.backend_runs"), 11u);
+      EXPECT_EQ(count(service, "eval.backend_runs"), 47u);
 
       // The failure left no memo entry: a replay re-runs the backend and
-      // re-fails, while the eleven answers are memoised.
+      // re-fails, while the other answers are memoised.
       const std::uint64_t lanes = backend.lanes();
       const EvalResponse replay =
           evaluate_alone(service, requests[kMarker], &backend);
@@ -703,6 +705,37 @@ TEST(EvalService, FailedLaneComesBackAsDataOnAnyPoolAndWidth) {
     }
   }
   EXPECT_EQ(alone[kMarker].status, EvalStatus::kBackendError);
+}
+
+TEST(EvalService, SmallPipelinesRunOneLanePerChunk) {
+  // batch_k 8 on one pool thread plus the caller: up to 16 claims run one
+  // lane per chunk; 17 claims of one (app, VL) group are cut into chunks of
+  // 8, 8 and 1 lanes, as every larger pipeline is. "eval.batch_width"
+  // observes each chunk's lane count.
+  ServiceConfig options = hermetic(1);
+  options.batch_k = 8;
+  EvalService service(options);
+  FormulaBackend backend;
+  EvalPolicy policy;
+  policy.backend = &backend;
+  const auto designs = [](int first, int n) {
+    std::vector<EvalRequest> requests;
+    for (int i = first; i < first + n; ++i) {
+      EvalRequest request = stream_request();
+      request.config.core.rob_size = 64 + 8 * i;
+      requests.push_back(request);
+    }
+    return requests;
+  };
+  const obs::Histogram& widths =
+      service.metrics().histogram("eval.batch_width");
+  require_ok(service.evaluate(designs(0, 16), policy));
+  EXPECT_EQ(widths.snapshot().count, 16u);
+  EXPECT_EQ(widths.snapshot().max, 1.0);
+  require_ok(service.evaluate(designs(16, 17), policy));
+  EXPECT_EQ(widths.snapshot().count, 19u);
+  EXPECT_EQ(widths.snapshot().sum, 33.0);
+  EXPECT_EQ(widths.snapshot().max, 8.0);
 }
 
 TEST(EvalService, SummaryLineReportsFreshRuns) {

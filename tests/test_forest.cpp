@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <vector>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/importance.hpp"
 #include "ml/metrics.hpp"
 
@@ -87,6 +90,66 @@ TEST(Forest, DeterministicForSeed) {
   a.fit(d);
   b.fit(d);
   EXPECT_EQ(a.predict_all(d), b.predict_all(d));
+}
+
+TEST(Forest, FixedSeedPredictionsArePinned) {
+  // Recorded from the one-tree-at-a-time fit, whose RNG drew each tree's
+  // bootstrap rows and then its seed. A fit that draws in any other order
+  // grows different trees and fails here, pool or no pool.
+  const Dataset train = noisy_function(200, 7);
+  const Dataset query = noisy_function(4, 8);
+  ForestOptions opts;
+  opts.num_trees = 12;
+  opts.max_features = 2;
+  opts.sample_fraction = 0.8;
+  opts.seed = 42;
+  RandomForestRegressor forest(opts);
+  forest.fit(train);
+  const PredictionDistribution pinned[] = {
+      {203.25812358161346, 5.1651515007062629},
+      {91.217357408796389, 9.803010145348992},
+      {238.30288069345914, 48.979331978096262},
+      {89.894871690556897, 28.258404865870702}};
+  const std::vector<PredictionDistribution> dists =
+      forest.predict_dist_all(query);
+  ASSERT_EQ(dists.size(), std::size(pinned));
+  for (std::size_t i = 0; i < dists.size(); ++i) {
+    EXPECT_EQ(dists[i].mean, pinned[i].mean) << i;
+    EXPECT_EQ(dists[i].std, pinned[i].std) << i;
+  }
+  EXPECT_EQ(forest.oob_mae(), 8.5994805340976459);
+}
+
+TEST(Forest, PoolDoesNotChangeTheForest) {
+  // Trees fitted on 1, 2 or 4 pool threads (plus the caller) are the trees
+  // of the serial fit, so every prediction and the out-of-bag error are
+  // bit-equal.
+  const Dataset train = noisy_function(300, 21);
+  const Dataset query = noisy_function(50, 22);
+  ForestOptions opts;
+  opts.num_trees = 16;
+  opts.max_features = 2;
+  opts.sample_fraction = 0.9;
+  opts.seed = 5;
+  RandomForestRegressor serial(opts);
+  serial.fit(train);
+  const std::vector<PredictionDistribution> serial_dists =
+      serial.predict_dist_all(query);
+  for (const std::size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    RandomForestRegressor pooled(opts);
+    pooled.fit(train, &pool);
+    EXPECT_EQ(pooled.predict_all(query), serial.predict_all(query));
+    const std::vector<PredictionDistribution> dists =
+        pooled.predict_dist_all(query);
+    ASSERT_EQ(dists.size(), serial_dists.size());
+    for (std::size_t i = 0; i < dists.size(); ++i) {
+      EXPECT_EQ(dists[i].mean, serial_dists[i].mean) << i;
+      EXPECT_EQ(dists[i].std, serial_dists[i].std) << i;
+    }
+    EXPECT_EQ(pooled.oob_mae(), serial.oob_mae());
+  }
 }
 
 TEST(Forest, FeatureSubsamplingWorks) {
