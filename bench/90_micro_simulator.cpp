@@ -21,10 +21,10 @@ using namespace adse;
 void BM_SimulateApp(benchmark::State& state) {
   const auto app = static_cast<kernels::App>(state.range(0));
   const config::CpuConfig tx2 = config::thunderx2_baseline();
-  const isa::Program program = kernels::build_app(app, 128);
+  const sim::Trace& trace = sim::trace(app, 128);
   std::uint64_t ops = 0;
   for (auto _ : state) {
-    const auto result = sim::simulate(tx2, program);
+    const auto result = sim::simulate(tx2, trace);
     benchmark::DoNotOptimize(result.core.cycles);
     ops += result.core.retired;
   }
@@ -94,9 +94,9 @@ void BM_SimulateAcrossVectorLengths(benchmark::State& state) {
   c.core.vector_length_bits = vl;
   while (c.core.load_bandwidth_bytes < vl / 8) c.core.load_bandwidth_bytes *= 2;
   while (c.core.store_bandwidth_bytes < vl / 8) c.core.store_bandwidth_bytes *= 2;
-  const isa::Program program = kernels::build_app(kernels::App::kStream, vl);
+  const sim::Trace& trace = sim::trace(kernels::App::kStream, vl);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::simulate(c, program).core.cycles);
+    benchmark::DoNotOptimize(sim::simulate(c, trace).core.cycles);
   }
   state.SetLabel("STREAM @ VL " + std::to_string(vl));
 }

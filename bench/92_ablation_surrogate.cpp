@@ -13,7 +13,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "analysis/analytical_features.hpp"
 #include "analysis/surrogate_eval.hpp"
@@ -24,6 +23,7 @@
 #include "common/text_table.hpp"
 #include "ml/forest.hpp"
 #include "ml/metrics.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -212,22 +212,8 @@ int main() {
   {
     TextTable table({"App", "forest mean acc.", "fused mean acc.",
                      "forest R^2", "fused R^2"});
-    std::map<int, analysis::TraceSummary> summaries;  // keyed by (app<<16)|vl
-    const auto summary_for = [&summaries](kernels::App app,
-                                          int vl) -> const auto& {
-      const int key = (static_cast<int>(app) << 16) | vl;
-      auto it = summaries.find(key);
-      if (it == summaries.end()) {
-        it = summaries
-                 .emplace(key, analysis::summarize_trace(
-                                   kernels::build_app(app, vl)))
-                 .first;
-      }
-      return it->second;
-    };
     // One (config, features, bound) triple per dataset row.
-    const auto residualize = [&summary_for](kernels::App app,
-                                            const ml::Dataset& ds) {
+    const auto residualize = [](kernels::App app, const ml::Dataset& ds) {
       ml::Dataset residual;
       residual.feature_names = eval::FusedModel::residual_feature_names();
       std::vector<double> bounds;
@@ -236,7 +222,7 @@ int main() {
         std::copy_n(ds.x[r].begin(), config::kNumParams, raw.begin());
         const config::CpuConfig cfg = config::config_from_features(raw);
         const analysis::AnalyticalFeatures features = analysis::analyze(
-            summary_for(app, cfg.core.vector_length_bits), cfg);
+            sim::trace(app, cfg.core.vector_length_bits).summary(), cfg);
         const double bound = static_cast<double>(features.min_cycles);
         residual.add_row(eval::FusedModel::residual_row(cfg, features),
                          std::log(std::max(ds.y[r], 1.0) / bound));

@@ -96,7 +96,7 @@ int main() {
     const config::CpuConfig tx2 = config::thunderx2_baseline();
     TextTable table({"App", "campaign model", "+finite banks", "+fwd=12"});
     for (kernels::App app : kernels::all_apps()) {
-      const isa::Program trace = kernels::build_app(app, 128);
+      const sim::Trace& trace = sim::trace(app, 128);
       const auto base = sim::simulate(tx2, trace).cycles();
 
       sim::ProxyOptions banks_only;
@@ -110,12 +110,14 @@ int main() {
       banks_only.prefetch_boost_l2 = 0;
       // stream prefetcher stays on in the proxy path; neutralise by
       // comparing only deltas of the same proxy baseline.
-      const auto with_banks = sim::simulate_hardware(tx2, trace, banks_only).cycles();
+      const auto with_banks =
+          sim::simulate(tx2, trace, sim::proxy_fidelity(banks_only)).cycles();
 
       sim::ProxyOptions fwd = banks_only;
       fwd.finite_banks = 0;
       fwd.forward_latency = 12;
-      const auto with_fwd = sim::simulate_hardware(tx2, trace, fwd).cycles();
+      const auto with_fwd =
+          sim::simulate(tx2, trace, sim::proxy_fidelity(fwd)).cycles();
 
       table.add_row({kernels::app_name(app),
                      format_grouped(static_cast<long long>(base)),

@@ -14,14 +14,14 @@
 ///
 /// The bench also sweeps the batched engine (sim::simulate_batch) across
 /// batch widths K = 1, 4, 8, 16 on the same config stream — configs grouped
-/// by (app, VL), each group's trace decoded once, chunked into K-lane
-/// batches — and records per-K configs/sec, speedup over the scalar loop,
-/// and mean lane occupancy. K = 1 isolates raw engine speed (no batching);
+/// by (app, VL), chunked into K-lane batches over the group's one trace
+/// artifact (sim::trace) — and records per-K configs/sec, speedup over the
+/// scalar loop, and mean lane occupancy. K = 1 isolates raw engine speed (no batching);
 /// wider K adds trace sharing and lane scheduling. Batched cycle totals are
 /// shape-checked bit-identical against the scalar pass. There is one engine:
-/// the "scalar" pass is `sim::simulate`, i.e. the same engine at K = 1 with
-/// the trace decoded on every run, so every speedup the sweep reports is
-/// relative to that one-lane path.
+/// the "scalar" pass is `sim::simulate`, i.e. the same engine at K = 1 on
+/// the same decoded trace, so every speedup the sweep reports is relative
+/// to that one-lane path.
 ///
 /// The scalar loop and every sweep can be repeated (ADSE_BENCH98_REPEATS)
 /// with the *minimum* time kept — the standard defence against a noisy
@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,12 +121,11 @@ int main() {
     configs.push_back(space.sample(rng));
   }
 
-  // Build every needed trace up front: trace generation is not simulator
-  // throughput.
-  eval::TraceCache traces;
+  // Build and decode every needed trace up front: trace preparation is not
+  // simulator throughput.
   for (const auto& c : configs) {
     for (kernels::App app : kernels::all_apps()) {
-      traces.get(app, c.core.vector_length_bits);
+      sim::trace(app, c.core.vector_length_bits).decoded();
     }
   }
 
@@ -139,7 +137,7 @@ int main() {
     for (const auto& c : configs) {
       for (kernels::App app : kernels::all_apps()) {
         AppTotals& t = pass[static_cast<std::size_t>(app)];
-        const isa::Program& trace = traces.get(app, c.core.vector_length_bits);
+        const sim::Trace& trace = sim::trace(app, c.core.vector_length_bits);
         Stopwatch one;
         const sim::RunResult result = sim::simulate(c, trace);
         t.seconds += one.seconds();
@@ -184,20 +182,11 @@ int main() {
               total_seconds, configs_per_sec, kernels::kNumApps);
 
   // ---- batch-width sweep: the same stream through sim::simulate_batch ----
-  // Configs grouped by VL (a batch shares one trace), chunked into K lanes.
-  // Each group's trace is decoded once per sweep pass — the shared-decode
-  // path chunked campaigns use — mirroring the scalar loop's prebuilt
-  // traces (trace preparation is not simulator throughput).
+  // Configs grouped by VL (a batch shares one trace), chunked into K lanes
+  // over the same prebuilt trace artifacts as the scalar loop.
   std::map<int, std::vector<config::CpuConfig>> by_vl;
   for (const auto& c : configs) {
     by_vl[c.core.vector_length_bits].push_back(c);
-  }
-  std::map<std::pair<int, int>, std::unique_ptr<core::DecodedTrace>> decoded;
-  for (kernels::App app : kernels::all_apps()) {
-    for (const auto& [vl, group] : by_vl) {
-      decoded[{static_cast<int>(app), vl}] =
-          std::make_unique<core::DecodedTrace>(traces.get(app, vl));
-    }
   }
   std::vector<BatchSweep> sweeps;
   for (const int k : {1, 4, 8, 16}) {
@@ -208,9 +197,7 @@ int main() {
       Stopwatch sw;
       for (kernels::App app : kernels::all_apps()) {
         for (const auto& [vl, group] : by_vl) {
-          const isa::Program& trace = traces.get(app, vl);
-          const core::DecodedTrace& dec =
-              *decoded.at({static_cast<int>(app), vl});
+          const sim::Trace& trace = sim::trace(app, vl);
           for (std::size_t start = 0; start < group.size();
                start += static_cast<std::size_t>(k)) {
             const std::size_t width =
@@ -218,7 +205,7 @@ int main() {
             core::BatchRunInfo info;
             const auto results = sim::simulate_batch(
                 std::span<const config::CpuConfig>(&group[start], width),
-                trace, dec, &info);
+                trace, {}, &info);
             for (const auto& r : results) cycles += r.core.cycles;
             windows += info.windows;
             lane_windows += info.lane_windows;

@@ -13,8 +13,8 @@
 #include "common/text_table.hpp"
 #include "config/baselines.hpp"
 #include "config/param_space.hpp"
-#include "eval/trace_cache.hpp"
 #include "sim/hardware_proxy.hpp"
+#include "sim/trace.hpp"
 
 namespace adse::analysis {
 
@@ -75,18 +75,18 @@ CalibrationReport calibrate(const CalibrationOptions& options) {
   // proxy ("silicon"). The fit never sees the proxy's internals, only these.
   struct Observation {
     const config::CpuConfig* config;
-    const isa::Program* trace;
+    const sim::Trace* trace;
     double target_cycles;
   };
-  eval::TraceCache traces;
   std::uint64_t simulations = 0;
   std::vector<Observation> observations;
   observations.reserve(configs.size() * apps.size());
   for (const config::CpuConfig& config : configs) {
     for (kernels::App app : apps) {
-      const isa::Program& trace =
-          traces.get(app, config.core.vector_length_bits);
-      const sim::RunResult target = sim::simulate_hardware(config, trace);
+      const sim::Trace& trace =
+          sim::trace(app, config.core.vector_length_bits);
+      const sim::RunResult target =
+          sim::simulate(config, trace, sim::proxy_fidelity());
       ++simulations;
       observations.push_back(
           {&config, &trace, static_cast<double>(target.core.cycles)});
@@ -98,11 +98,10 @@ CalibrationReport calibrate(const CalibrationOptions& options) {
   auto objective = [&](const CalibrationConstants& candidate) {
     const ConstantsKey key = key_of(candidate);
     if (auto it = memo.find(key); it != memo.end()) return it->second;
-    const sim::ProxyOptions proxy = to_proxy(candidate);
+    const sim::Fidelity proxy = sim::proxy_fidelity(to_proxy(candidate));
     double sum = 0.0;
     for (const Observation& obs : observations) {
-      const sim::RunResult r =
-          sim::simulate_hardware(*obs.config, *obs.trace, proxy);
+      const sim::RunResult r = sim::simulate(*obs.config, *obs.trace, proxy);
       ++simulations;
       sum += std::abs(static_cast<double>(r.core.cycles) - obs.target_cycles) /
              obs.target_cycles;

@@ -14,12 +14,11 @@ std::vector<ValidationRow> build_table1() {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
   std::vector<ValidationRow> rows;
   for (kernels::App app : kernels::all_apps()) {
-    const isa::Program trace =
-        kernels::build_app(app, tx2.core.vector_length_bits);
     ValidationRow row;
     row.app = app;
-    row.simulated_cycles = sim::simulate(tx2, trace).cycles();
-    row.hardware_cycles = sim::simulate_hardware(tx2, trace).cycles();
+    row.simulated_cycles = sim::simulate_app(tx2, app).cycles();
+    row.hardware_cycles =
+        sim::simulate_app(tx2, app, sim::proxy_fidelity()).cycles();
     row.percent_difference =
         100.0 *
         std::abs(static_cast<double>(row.simulated_cycles) -

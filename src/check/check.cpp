@@ -29,9 +29,9 @@ Oracle reference_replay(const isa::Program& program,
 }
 
 std::vector<std::string> verify_run(const config::CpuConfig& config,
-                                    const isa::Program& program,
+                                    const sim::Trace& trace,
                                     const sim::RunResult& result) {
-  const Oracle oracle = reference_replay(program, config);
+  const Oracle oracle = oracle_from(trace.summary(), config);
   std::vector<std::string> violations;
   const auto fail = [&violations](const std::ostringstream& os) {
     violations.push_back(os.str());
@@ -115,14 +115,14 @@ std::vector<std::string> verify_run(const config::CpuConfig& config,
 }
 
 void require_clean_run(const config::CpuConfig& config,
-                       const isa::Program& program,
+                       const sim::Trace& trace,
                        const sim::RunResult& result) {
   const std::vector<std::string> violations =
-      verify_run(config, program, result);
+      verify_run(config, trace, result);
   if (violations.empty()) return;
   std::ostringstream os;
   os << violations.size() << " oracle violation(s) for config '" << config.name
-     << "' on '" << program.name << "':";
+     << "' on '" << trace.name() << "':";
   for (const std::string& v : violations) os << "\n  - " << v;
   throw InvariantError(os.str());
 }

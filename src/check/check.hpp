@@ -29,6 +29,7 @@
 #include "config/cpu_config.hpp"
 #include "isa/program.hpp"
 #include "sim/simulation.hpp"
+#include "sim/trace.hpp"
 
 namespace adse::check {
 
@@ -68,16 +69,17 @@ Oracle reference_replay(const isa::Program& program,
 Oracle oracle_from(const analysis::TraceSummary& summary,
                    const config::CpuConfig& config);
 
-/// Verifies a completed simulation against the oracle and the structural
-/// accounting identities. Returns one human-readable string per violated
-/// property (empty = clean run).
+/// Verifies a completed simulation against the oracle (priced from the
+/// trace artifact's summary) and the structural accounting identities.
+/// Returns one human-readable string per violated property (empty = clean
+/// run).
 std::vector<std::string> verify_run(const config::CpuConfig& config,
-                                    const isa::Program& program,
+                                    const sim::Trace& trace,
                                     const sim::RunResult& result);
 
 /// verify_run that throws InvariantError listing every violation.
 void require_clean_run(const config::CpuConfig& config,
-                       const isa::Program& program,
+                       const sim::Trace& trace,
                        const sim::RunResult& result);
 
 }  // namespace adse::check

@@ -87,10 +87,8 @@ std::string check_point(eval::EvalService& service,
   const eval::EvalResponse checked = service.evaluate({&request, 1}).front();
   if (!checked.ok()) return checked.error;
   if (cycles != nullptr) *cycles = checked.cycles();
-  const isa::Program& trace =
-      service.trace(app, config.core.vector_length_bits);
-  const std::vector<std::string> violations =
-      verify_run(config, trace, checked.run);
+  const std::vector<std::string> violations = verify_run(
+      config, service.trace(app, config.core.vector_length_bits), checked.run);
   if (violations.empty()) return "";
   std::ostringstream os;
   for (std::size_t i = 0; i < violations.size(); ++i) {

@@ -14,7 +14,7 @@ const std::string& SimulatorBackend::key() const {
 
 std::vector<sim::RunResult> SimulatorBackend::run_batch(
     std::span<const config::CpuConfig> configs, kernels::App /*app*/,
-    const isa::Program& trace) const {
+    const sim::Trace& trace) const {
   return sim::simulate_batch(configs, trace);
 }
 

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "config/cpu_config.hpp"
-#include "isa/program.hpp"
 #include "kernels/workloads.hpp"
 #include "sim/simulation.hpp"
+#include "sim/trace.hpp"
 
 namespace adse::eval {
 
@@ -35,7 +35,7 @@ class Backend {
   /// InvariantError when a lane violates a model invariant.
   virtual std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program& trace) const = 0;
+      const sim::Trace& trace) const = 0;
 };
 
 /// The campaign-fidelity cycle simulator (infinite banks / unlimited MSHRs /
@@ -46,7 +46,7 @@ class SimulatorBackend final : public Backend {
   const std::string& key() const override;
   std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program& trace) const override;
+      const sim::Trace& trace) const override;
 };
 
 /// A surrogate's answer: `predicted_cycles` rounded to at least one cycle,

@@ -8,6 +8,7 @@
 #include "common/env.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
+#include "sim/trace.hpp"
 
 namespace adse::eval {
 
@@ -76,19 +77,12 @@ std::vector<double> FusedModel::residual_row(
 
 const analysis::TraceSummary& FusedModel::summary(kernels::App app,
                                                   int vl) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = summaries_[{static_cast<int>(app), vl}];
-  if (slot == nullptr) {
-    slot = std::make_unique<const analysis::TraceSummary>(
-        analysis::summarize_trace(kernels::build_app(app, vl)));
-  }
-  return *slot;
+  return sim::trace(app, vl).summary();
 }
 
 bool FusedModel::observe(kernels::App app, const config::CpuConfig& config,
                          double cycles, ThreadPool* pool) {
   const auto params = config::feature_vector(config);
-  // Build the summary first (summary() takes the lock itself).
   const analysis::TraceSummary& digest =
       summary(app, config.core.vector_length_bits);
 

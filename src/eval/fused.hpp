@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -78,8 +77,9 @@ struct FusedPrediction {
 /// The online residual model: one forest per application, observations
 /// appended as real simulator results arrive, refits on a geometric
 /// schedule. Thread-safe; deterministic for a given seed and observation
-/// order. Trace summaries are built lazily, once per (app, VL), so
-/// prediction never decodes a trace.
+/// order. Trace summaries come from the process-wide trace artifacts
+/// (sim::trace), so prediction never decodes a trace and no model rebuilds
+/// one.
 class FusedModel {
  public:
   explicit FusedModel(FusedOptions options = fused_options_from_env());
@@ -124,7 +124,7 @@ class FusedModel {
       const config::CpuConfig& config,
       const analysis::AnalyticalFeatures& features);
 
-  /// The lazily built, cached trace digest for (app, vl).
+  /// The trace digest for (app, vl): sim::trace(app, vl).summary().
   const analysis::TraceSummary& summary(kernels::App app, int vl) const;
 
  private:
@@ -139,9 +139,6 @@ class FusedModel {
   FusedOptions options_;
   std::uint64_t id_;
   mutable std::mutex mutex_;
-  mutable std::map<std::pair<int, int>,
-                   std::unique_ptr<const analysis::TraceSummary>>
-      summaries_;
   std::array<AppModel, kernels::kNumApps> models_;
   std::uint64_t refits_ = 0;
   std::uint64_t probe_tick_ = 0;

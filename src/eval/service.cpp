@@ -23,6 +23,12 @@ std::uint64_t fused_tag(const FusedModel& model) {
   return ResultStore::tag("fused/" + std::to_string(model.id()));
 }
 
+/// A process-wide trace counter: sim::trace counts into the global registry,
+/// since its artifacts are shared by every service in the process.
+std::uint64_t trace_count(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
 }  // namespace
 
 const char* status_name(EvalStatus status) {
@@ -108,9 +114,7 @@ EvalService::EvalService(ServiceConfig config)
           options_.threads > 0 ? options_.threads
                                : static_cast<int>(num_threads()))),
       batch_k_(options_.batch_k > 0 ? options_.batch_k
-                                    : static_cast<int>(adse::batch_k())),
-      traces_(&metrics_->counter("eval.trace_hits"),
-              &metrics_->counter("eval.trace_builds")) {
+                                    : static_cast<int>(adse::batch_k())) {
   // Teardown-order pin: pool workers may emit spans (and, for services on
   // the global registry, counter adds) right up until ~EvalService joins
   // them — which for the process-wide service happens during exit's static
@@ -178,11 +182,11 @@ EvalService::ChunkRunner EvalService::backend_runner(const Backend& backend) {
     for (const std::size_t i : members) configs.push_back(requests[i].config);
     return backend.run_batch(
         configs, first.app,
-        traces_.get(first.app, first.config.core.vector_length_bits));
+        sim::trace(first.app, first.config.core.vector_length_bits));
   };
-  const auto trace_length = [this](const EvalRequest& request) {
-    return traces_.get(request.app, request.config.core.vector_length_bits)
-        .ops.size();
+  const auto trace_length = [](const EvalRequest& request) {
+    return sim::trace(request.app, request.config.core.vector_length_bits)
+        .size();
   };
   return {run, trace_length};
 }
@@ -542,7 +546,7 @@ std::string EvalService::summary_line() const {
      << " | memo hits: " << memo_hits_->value()
      << " | store hits: " << store_hits_->value()
      << " | in-flight joins: " << inflight_joins_->value()
-     << " | traces built: " << traces_.builds();
+     << " | traces built: " << trace_count("eval.trace_builds");
   return os.str();
 }
 
@@ -569,8 +573,8 @@ std::string EvalService::cache_table() const {
                  grouped(store_ ? store_->loaded().size() : 0)});
   table.add_row({"store records appended",
                  grouped(store_ ? store_->appended() : 0)});
-  table.add_row({"traces built", grouped(traces_.builds())});
-  table.add_row({"trace-cache hits", grouped(traces_.hits())});
+  table.add_row({"traces built", grouped(trace_count("eval.trace_builds"))});
+  table.add_row({"trace-cache hits", grouped(trace_count("eval.trace_hits"))});
   std::ostringstream os;
   os << "evaluation cache decomposition:\n" << table.render();
   return os.str();

@@ -3,8 +3,9 @@
 /// The unified evaluation service: every simulation in the repo —
 /// campaign rows, DSE batches, bench probes, example binaries — flows
 /// through one `EvalService::evaluate()` front-end. The service owns the
-/// machinery its callers used to duplicate (thread pool, trace cache) and
-/// adds the two layers none of them had:
+/// machinery its callers used to duplicate (the thread pool; traces are the
+/// process-wide sim::trace artifacts) and adds the two layers none of them
+/// had:
 ///
 ///   * a sharded in-memory memo keyed by (backend, app, feature vector),
 ///     with in-flight request deduplication — N concurrent requests for the
@@ -46,10 +47,10 @@
 #include "eval/backend.hpp"
 #include "eval/fused.hpp"
 #include "eval/result_store.hpp"
-#include "eval/trace_cache.hpp"
 #include "kernels/workloads.hpp"
 #include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
+#include "sim/trace.hpp"
 
 namespace adse::eval {
 
@@ -92,9 +93,9 @@ class EvalService final : public Evaluator {
     return evaluate(requests, EvalPolicy{});
   }
 
-  /// Shared trace cache (traces depend only on app and vector length).
-  const isa::Program& trace(kernels::App app, int vl) {
-    return traces_.get(app, vl);
+  /// The process-wide trace artifact for (app, vl) (sim::trace).
+  const sim::Trace& trace(kernels::App app, int vl) {
+    return sim::trace(app, vl);
   }
 
   /// Runs fn(i) for i in [0, count) on the service's pool — for callers
@@ -261,7 +262,6 @@ class EvalService final : public Evaluator {
   /// Lanes per chunk (ServiceConfig::batch_k, env-inherited when 0); <= 1
   /// runs one lane per chunk.
   int batch_k_;
-  TraceCache traces_;
   SimulatorBackend simulator_;
   std::unique_ptr<ResultStore> store_;
   std::array<Shard, kNumShards> shards_;

@@ -46,13 +46,8 @@ struct ProxyOptions {
   double dram_interval_scale = 2.60;
 };
 
-/// Runs `program` on the proxy ("hardware") model.
-RunResult simulate_hardware(const config::CpuConfig& config,
-                            const isa::Program& program,
-                            const ProxyOptions& options = {});
-
-RunResult simulate_hardware_app(const config::CpuConfig& config,
-                                kernels::App app,
-                                const ProxyOptions& options = {});
+/// The proxy's fidelity preset: `sim::simulate(config, trace,
+/// proxy_fidelity())` runs `trace` on the "hardware" model.
+Fidelity proxy_fidelity(const ProxyOptions& options = {});
 
 }  // namespace adse::sim

@@ -90,7 +90,7 @@ void expect_mem_identical(const mem::MemStats& batched,
 #undef EXPECT_FIELD_EQ
 
 void expect_lanes_match_single_runs(std::span<const config::CpuConfig> configs,
-                                 const isa::Program& trace) {
+                                 const sim::Trace& trace) {
   const std::vector<sim::RunResult> batched =
       sim::simulate_batch(configs, trace);
   ASSERT_EQ(batched.size(), configs.size());
@@ -99,7 +99,7 @@ void expect_lanes_match_single_runs(std::span<const config::CpuConfig> configs,
     expect_core_identical(batched[lane].core, alone_run.core, lane);
     expect_mem_identical(batched[lane].mem, alone_run.mem, lane);
     EXPECT_EQ(batched[lane].config_name, configs[lane].name);
-    EXPECT_EQ(batched[lane].app, trace.name);
+    EXPECT_EQ(batched[lane].app, trace.name());
   }
 }
 
@@ -113,7 +113,7 @@ TEST(BatchSim, BitIdenticalToScalarAcrossFuzzedConfigs) {
     }
     if (vl == 128) configs.push_back(config::thunderx2_baseline());
     for (const auto app : {kernels::App::kStream, kernels::App::kMiniSweep}) {
-      const isa::Program trace = kernels::build_app(app, vl);
+      const sim::Trace& trace = sim::trace(app, vl);
       expect_lanes_match_single_runs(configs, trace);
     }
   }
@@ -121,7 +121,7 @@ TEST(BatchSim, BitIdenticalToScalarAcrossFuzzedConfigs) {
 
 TEST(BatchSim, SingleLaneBatchMatchesScalar) {
   const std::vector<config::CpuConfig> configs{config::thunderx2_baseline()};
-  const isa::Program trace = kernels::build_app(
+  const sim::Trace& trace = sim::trace(
       kernels::App::kTeaLeaf, configs[0].core.vector_length_bits);
   expect_lanes_match_single_runs(configs, trace);
 }
@@ -129,7 +129,7 @@ TEST(BatchSim, SingleLaneBatchMatchesScalar) {
 TEST(BatchSim, MixedVectorLengthBatchRejects) {
   std::vector<config::CpuConfig> configs{sampled_config(3, 128),
                                          sampled_config(4, 512)};
-  const isa::Program trace = kernels::build_app(kernels::App::kStream, 128);
+  const sim::Trace& trace = sim::trace(kernels::App::kStream, 128);
   EXPECT_THROW(sim::simulate_batch(configs, trace), InvariantError);
 }
 
@@ -140,7 +140,7 @@ TEST(BatchSim, InvalidLaneIsRejectedBeforeAnythingIsBuilt) {
   std::vector<config::CpuConfig> configs{config::thunderx2_baseline(),
                                          config::thunderx2_baseline()};
   configs[1].mem.l1_assoc = 0;
-  const isa::Program trace = kernels::build_app(
+  const sim::Trace& trace = sim::trace(
       kernels::App::kStream, configs[0].core.vector_length_bits);
   try {
     sim::simulate_batch(configs, trace);
@@ -160,11 +160,11 @@ TEST(BatchSim, EarlyLaneRetirementCompactsTheBatch) {
   for (std::uint64_t seed : {5u, 6u, 9u}) {
     configs.push_back(sampled_config(seed, 128));
   }
-  const isa::Program trace = kernels::build_app(kernels::App::kMiniBude, 128);
+  const sim::Trace& trace = sim::trace(kernels::App::kMiniBude, 128);
 
   core::BatchRunInfo info;
   const std::vector<sim::RunResult> batched =
-      sim::simulate_batch(configs, trace, &info);
+      sim::simulate_batch(configs, trace, {}, &info);
   ASSERT_EQ(batched.size(), configs.size());
   EXPECT_GT(info.windows, 0u);
   EXPECT_LE(info.mean_active_lanes(), static_cast<double>(configs.size()));
@@ -193,7 +193,7 @@ TEST(BatchSim, InvariantChecksRunInsideBatchedLanes) {
   // pass, and the counts must not shift under checking.
   std::vector<config::CpuConfig> configs{config::thunderx2_baseline(),
                                          sampled_config(13, 128)};
-  const isa::Program trace = kernels::build_app(kernels::App::kStream, 128);
+  const sim::Trace& trace = sim::trace(kernels::App::kStream, 128);
   const std::vector<sim::RunResult> plain = sim::simulate_batch(configs, trace);
   ScopedCheck check(true);
   const std::vector<sim::RunResult> checked =

@@ -153,10 +153,10 @@ TEST(Oracle, BoundsBracketRealRunsOnAnchorConfigs) {
        {config::thunderx2_baseline(), config::minimal_viable(),
         config::big_future(), config::a64fx_like()}) {
     for (kernels::App app : kernels::all_apps()) {
-      const isa::Program trace =
-          kernels::build_app(app, cfg.core.vector_length_bits);
+      const sim::Trace& trace =
+          sim::trace(app, cfg.core.vector_length_bits);
       const sim::RunResult result = sim::simulate(cfg, trace);
-      const Oracle oracle = reference_replay(trace, cfg);
+      const Oracle oracle = oracle_from(trace.summary(), cfg);
       EXPECT_GE(result.core.cycles, oracle.min_cycles)
           << cfg.name << "/" << kernels::app_slug(app);
       EXPECT_LE(result.core.cycles, oracle.max_cycles)
@@ -168,8 +168,8 @@ TEST(Oracle, BoundsBracketRealRunsOnAnchorConfigs) {
 
 TEST(VerifyRun, FlagsTamperedResults) {
   const CpuConfig cfg = config::thunderx2_baseline();
-  const isa::Program trace =
-      kernels::build_app(kernels::App::kStream, cfg.core.vector_length_bits);
+  const sim::Trace& trace =
+      sim::trace(kernels::App::kStream, cfg.core.vector_length_bits);
   sim::RunResult result = sim::simulate(cfg, trace);
 
   sim::RunResult wrong_retired = result;

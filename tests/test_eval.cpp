@@ -16,7 +16,6 @@
 #include "config/param_space.hpp"
 #include "eval/fused.hpp"
 #include "eval/result_store.hpp"
-#include "eval/trace_cache.hpp"
 #include "power/power_model.hpp"
 #include "sim/simulation.hpp"
 #include "sim/stats_report.hpp"
@@ -34,7 +33,7 @@ class CountingBackend final : public Backend {
 
   std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program&) const override {
+      const sim::Trace&) const override {
     runs_.fetch_add(configs.size(), std::memory_order_relaxed);
     // Widen the race window so concurrent identical requests really overlap.
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -397,7 +396,7 @@ class FormulaBackend final : public Backend {
 
   std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program&) const override {
+      const sim::Trace&) const override {
     std::vector<sim::RunResult> results;
     for (const config::CpuConfig& config : configs) {
       results.push_back(answer(config, app));
@@ -626,7 +625,7 @@ class MarkerBackend final : public Backend {
 
   std::vector<sim::RunResult> run_batch(
       std::span<const config::CpuConfig> configs, kernels::App app,
-      const isa::Program&) const override {
+      const sim::Trace&) const override {
     lanes_.fetch_add(configs.size());
     std::vector<sim::RunResult> results;
     for (const config::CpuConfig& config : configs) {
@@ -748,18 +747,6 @@ TEST(EvalService, SummaryLineReportsFreshRuns) {
   EXPECT_NE(line.find("memo hits: 1"), std::string::npos);
   const std::string table = service.cache_table();
   EXPECT_NE(table.find("requests served"), std::string::npos);
-}
-
-TEST(TraceCacheCounters, HitsAndBuilds) {
-  TraceCache cache;
-  const isa::Program& first = cache.get(kernels::App::kStream, 256);
-  const isa::Program& again = cache.get(kernels::App::kStream, 256);
-  EXPECT_EQ(&first, &again);
-  EXPECT_EQ(cache.builds(), 1u);
-  EXPECT_EQ(cache.hits(), 1u);
-  cache.get(kernels::App::kStream, 512);
-  EXPECT_EQ(cache.builds(), 2u);
-  EXPECT_EQ(cache.size(), 2u);
 }
 
 class ResultStoreTest : public ::testing::Test {

@@ -151,19 +151,19 @@ TEST_P(GoldenCycles, BitIdenticalToSeedModel) {
   for (kernels::App app : kernels::all_apps()) {
     const Pin& pin = kGolden[row].runs[static_cast<std::size_t>(app)];
     const std::string what = pair_name(kGolden[row].config, app);
-    const isa::Program program = kernels::build_app(app, vl);
+    const sim::Trace& trace = sim::trace(app, vl);
 
-    const sim::RunResult result = sim::simulate(cfg, program);
+    const sim::RunResult result = sim::simulate(cfg, trace);
     expect_pin(result, pin, what);
     // The event-skip accounting must decompose the run exactly: every cycle
     // was either entered by the main loop or skipped by the event wheel.
     EXPECT_EQ(result.core.cycles_entered + result.core.cycles_skipped,
               result.core.cycles)
         << what;
-    EXPECT_EQ(result.core.retired, program.ops.size()) << what;
+    EXPECT_EQ(result.core.retired, trace.size()) << what;
 
     const std::vector<sim::RunResult> lanes =
-        sim::simulate_batch(batch, program);
+        sim::simulate_batch(batch, trace);
     ASSERT_EQ(lanes.size(), batch.size());
     expect_pin(lanes[lane_of_row], pin,
                what + " (lane " + std::to_string(lane_of_row) + " of " +
@@ -187,7 +187,8 @@ TEST(GoldenCycles, HardwareProxyBaselineUnchanged) {
       {38528ULL, 0xb1c648251a2bc2e4ULL}, {34803ULL, 0xcf74ea45c1f70d7bULL}};
   const config::CpuConfig tx2 = config::thunderx2_baseline();
   for (kernels::App app : kernels::all_apps()) {
-    const sim::RunResult result = sim::simulate_hardware_app(tx2, app);
+    const sim::RunResult result =
+        sim::simulate_app(tx2, app, sim::proxy_fidelity());
     expect_pin(result, expected[static_cast<std::size_t>(app)],
                std::string("proxy ") + kernels::app_name(app));
   }
@@ -207,7 +208,7 @@ TEST(GoldenCycles, HardwareProxyFixedIntervalMispredicts) {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
   for (kernels::App app : kernels::all_apps()) {
     const sim::RunResult result =
-        sim::simulate_hardware_app(tx2, app, options);
+        sim::simulate_app(tx2, app, sim::proxy_fidelity(options));
     expect_pin(result, expected[static_cast<std::size_t>(app)],
                std::string("interval-mispredict proxy ") +
                    kernels::app_name(app));

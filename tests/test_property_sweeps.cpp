@@ -31,19 +31,17 @@ class PerAppSweep : public ::testing::TestWithParam<int> {
 TEST_P(PerAppSweep, EveryOpRetiresOnRandomDesigns) {
   for (std::uint64_t seed : {11u, 22u, 33u}) {
     const auto cfg = sampled_config(seed);
-    const isa::Program trace =
-        kernels::build_app(app(), cfg.core.vector_length_bits);
+    const sim::Trace& trace = sim::trace(app(), cfg.core.vector_length_bits);
     const auto result = sim::simulate(cfg, trace);
-    EXPECT_EQ(result.core.retired, trace.ops.size());
+    EXPECT_EQ(result.core.retired, trace.size());
   }
 }
 
 TEST_P(PerAppSweep, RetiredGroupCountsMatchTrace) {
   const auto cfg = config::thunderx2_baseline();
-  const isa::Program trace =
-      kernels::build_app(app(), cfg.core.vector_length_bits);
-  const auto stats = isa::compute_stats(trace);
-  const auto result = sim::simulate(cfg, trace);
+  const int vl = cfg.core.vector_length_bits;
+  const auto stats = isa::compute_stats(kernels::build_app(app(), vl));
+  const auto result = sim::simulate(cfg, sim::trace(app(), vl));
   for (int g = 0; g < isa::kNumInstrGroups; ++g) {
     EXPECT_EQ(result.core.retired_by_group[g], stats.by_group[g])
         << isa::group_name(static_cast<isa::InstrGroup>(g));
@@ -54,10 +52,9 @@ TEST_P(PerAppSweep, RetiredGroupCountsMatchTrace) {
 TEST_P(PerAppSweep, MemoryTrafficConservation) {
   // Loads sent + forwards == trace loads; stores sent == trace stores.
   const auto cfg = config::thunderx2_baseline();
-  const isa::Program trace =
-      kernels::build_app(app(), cfg.core.vector_length_bits);
-  const auto stats = isa::compute_stats(trace);
-  const auto result = sim::simulate(cfg, trace);
+  const int vl = cfg.core.vector_length_bits;
+  const auto stats = isa::compute_stats(kernels::build_app(app(), vl));
+  const auto result = sim::simulate(cfg, sim::trace(app(), vl));
   const auto trace_loads =
       stats.by_group[static_cast<int>(isa::InstrGroup::kLoad)];
   const auto trace_stores =
@@ -82,10 +79,9 @@ TEST_P(PerAppSweep, CacheAccountingBalances) {
 
 TEST_P(PerAppSweep, ProxyAndSimulatorRetireIdentically) {
   const auto cfg = config::thunderx2_baseline();
-  const isa::Program trace =
-      kernels::build_app(app(), cfg.core.vector_length_bits);
+  const sim::Trace& trace = sim::trace(app(), cfg.core.vector_length_bits);
   const auto sim_result = sim::simulate(cfg, trace);
-  const auto hw_result = sim::simulate_hardware(cfg, trace);
+  const auto hw_result = sim::simulate(cfg, trace, sim::proxy_fidelity());
   EXPECT_EQ(sim_result.core.retired, hw_result.core.retired);
   EXPECT_EQ(sim_result.core.retired_sve, hw_result.core.retired_sve);
 }
@@ -108,10 +104,10 @@ TEST_P(PerAppSweep, TraceStatsSveMatchesRuntime) {
     while (cfg.core.store_bandwidth_bytes < vl / 8) {
       cfg.core.store_bandwidth_bytes *= 2;
     }
-    const isa::Program trace = kernels::build_app(app(), vl);
-    const auto result = sim::simulate(cfg, trace);
-    EXPECT_DOUBLE_EQ(result.core.sve_fraction(),
-                     isa::compute_stats(trace).sve_fraction());
+    const auto result = sim::simulate(cfg, sim::trace(app(), vl));
+    EXPECT_DOUBLE_EQ(
+        result.core.sve_fraction(),
+        isa::compute_stats(kernels::build_app(app(), vl)).sve_fraction());
   }
 }
 
@@ -196,8 +192,10 @@ TEST(PropertySweep, CycleCountsScaleWithWorkload) {
   kernels::StreamInput two;
   two.repetitions = 2;
   const auto cfg = config::thunderx2_baseline();
-  const auto c1 = sim::simulate(cfg, kernels::build_stream(one, 128)).cycles();
-  const auto c2 = sim::simulate(cfg, kernels::build_stream(two, 128)).cycles();
+  const auto c1 =
+      sim::simulate(cfg, sim::Trace(kernels::build_stream(one, 128))).cycles();
+  const auto c2 =
+      sim::simulate(cfg, sim::Trace(kernels::build_stream(two, 128))).cycles();
   EXPECT_GT(static_cast<double>(c2), 1.2 * static_cast<double>(c1));
   EXPECT_LT(static_cast<double>(c2), 2.0 * static_cast<double>(c1));
 }

@@ -54,12 +54,12 @@ TEST(Simulation, VectorLengthSpeedsUpVectorisedCodes) {
 
 TEST(Simulation, ValidateResultCatchesShortRetirement) {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
-  const isa::Program program = kernels::build_app(kernels::App::kStream, 128);
+  const Trace& trace = sim::trace(kernels::App::kStream, 128);
   RunResult fake;
   fake.app = "stream";
-  fake.core.retired = program.ops.size() - 1;
+  fake.core.retired = trace.size() - 1;
   fake.core.cycles = 100;
-  EXPECT_THROW(validate_result(fake, program), InvariantError);
+  EXPECT_THROW(validate_result(fake, trace.size()), InvariantError);
 }
 
 TEST(Simulation, MemStatsArePopulated) {
@@ -90,9 +90,9 @@ TEST(HardwareProxy, ConservationLawsHoldUnderChecks) {
   // conservation laws must hold, and checking must not move a counter.
   const config::CpuConfig tx2 = config::thunderx2_baseline();
   for (kernels::App app : kernels::all_apps()) {
-    const RunResult plain = simulate_hardware_app(tx2, app);
+    const RunResult plain = simulate_app(tx2, app, proxy_fidelity());
     ScopedCheck check(true);
-    const RunResult checked = simulate_hardware_app(tx2, app);
+    const RunResult checked = simulate_app(tx2, app, proxy_fidelity());
     EXPECT_EQ(checked.cycles(), plain.cycles()) << kernels::app_name(app);
     EXPECT_EQ(checked.mem.line_requests, plain.mem.line_requests)
         << kernels::app_name(app);
@@ -101,9 +101,9 @@ TEST(HardwareProxy, ConservationLawsHoldUnderChecks) {
 
 TEST(HardwareProxy, DiffersFromCampaignSimulator) {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
-  const isa::Program program = kernels::build_app(kernels::App::kMiniSweep, 128);
-  const RunResult sim = simulate(tx2, program);
-  const RunResult hw = simulate_hardware(tx2, program);
+  const Trace& trace = sim::trace(kernels::App::kMiniSweep, 128);
+  const RunResult sim = simulate(tx2, trace);
+  const RunResult hw = simulate(tx2, trace, proxy_fidelity());
   EXPECT_NE(sim.cycles(), hw.cycles());
   EXPECT_EQ(hw.core.retired, sim.core.retired);  // same work either way
 }
@@ -120,16 +120,17 @@ TEST(HardwareProxy, PenaltiesOffButPrefetcherOnIsFaster) {
   pure.dram_latency_scale = 1.0;
   pure.dram_interval_scale = 1.0;
   const config::CpuConfig tx2 = config::thunderx2_baseline();
-  const isa::Program program = kernels::build_app(kernels::App::kStream, 128);
-  const RunResult sim = simulate(tx2, program);
-  const RunResult hw = simulate_hardware(tx2, program, pure);
+  const Trace& trace = sim::trace(kernels::App::kStream, 128);
+  const RunResult sim = simulate(tx2, trace);
+  const RunResult hw = simulate(tx2, trace, proxy_fidelity(pure));
   EXPECT_LE(hw.cycles(), sim.cycles());
 }
 
 TEST(HardwareProxy, DeterministicToo) {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
-  EXPECT_EQ(simulate_hardware_app(tx2, kernels::App::kTeaLeaf).cycles(),
-            simulate_hardware_app(tx2, kernels::App::kTeaLeaf).cycles());
+  EXPECT_EQ(
+      simulate_app(tx2, kernels::App::kTeaLeaf, proxy_fidelity()).cycles(),
+      simulate_app(tx2, kernels::App::kTeaLeaf, proxy_fidelity()).cycles());
 }
 
 TEST(Simulation, SveFractionsMatchFig1Pattern) {
