@@ -6,9 +6,10 @@
 /// self-checks (occupancy <= capacity, cache accounting balances, time moves
 /// forward) that cost one predictable branch when disabled: each component
 /// caches `CheckContext::enabled()` in a bool at entry, so the campaign hot
-/// loop (bench/98) is unaffected with checks off. The `adse::check` library
-/// (reference model, config-space fuzzer) flips the switch on to make every
-/// simulated cycle falsifiable; users enable it with `ADSE_CHECK=1`.
+/// loop (perfbench campaign_cold) is unaffected with checks off. The
+/// `adse::check` library (reference model, config-space fuzzer) flips the
+/// switch on to make every simulated cycle falsifiable; users enable it
+/// with `ADSE_CHECK=1`.
 
 #include <atomic>
 

@@ -210,8 +210,9 @@ class EvalService final : public Evaluator {
   /// single chunk inline); join the requests whose slots another caller is
   /// running. A chunk that throws InvariantError is reverted: a one-lane
   /// chunk's request fails with kBackendError, the members of a wider one
-  /// are re-claimed and run alone in the join step. Fresh answers are
-  /// persisted when `persist`.
+  /// are re-claimed and run alone in the join step. With `persist`, the
+  /// runner runs a backend: its fresh answers are stored and counted
+  /// in eval.sim_runs; the surrogate pipeline passes false.
   std::vector<EvalResponse> run_pipeline(std::span<const EvalRequest> requests,
                                          std::uint64_t tag, bool persist,
                                          const ChunkRunner& runner,
@@ -243,7 +244,8 @@ class EvalService final : public Evaluator {
   obs::Registry* metrics_;
   // Cached registry metrics — the single source of truth for every report.
   obs::Counter* requests_;
-  obs::Counter* backend_runs_;
+  obs::Counter* backend_runs_;  ///< every fresh answer, surrogate included
+  obs::Counter* sim_runs_;      ///< fresh answers of a backend, not a model
   obs::Counter* memo_hits_;
   obs::Counter* store_hits_;
   obs::Counter* inflight_joins_;

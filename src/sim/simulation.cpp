@@ -87,8 +87,8 @@ std::vector<RunResult> run_lanes(std::span<const config::CpuConfig> configs,
 
   // Coarse, per-pass observability only: a few counter adds per pass, so
   // the per-cycle hot loop stays uninstrumented and metrics cannot regress
-  // bench/98 throughput. The energy-model event counts ride along, so the
-  // JSON snapshot carries everything adse::power prices.
+  // perfbench campaign_cold throughput. The energy-model event counts ride
+  // along, so the JSON snapshot carries everything adse::power prices.
   static obs::Counter& simulations =
       obs::Registry::global().counter("sim.simulations");
   static obs::Counter& simulated_cycles =

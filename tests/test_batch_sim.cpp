@@ -18,6 +18,7 @@
 #include "config/param_space.hpp"
 #include "core/batched_core.hpp"
 #include "kernels/workloads.hpp"
+#include "obs/metrics.hpp"
 #include "sim/batch_sim.hpp"
 #include "sim/simulation.hpp"
 
@@ -117,6 +118,16 @@ TEST(BatchSim, BitIdenticalToScalarAcrossFuzzedConfigs) {
       expect_lanes_match_single_runs(configs, trace);
     }
   }
+  // The campaign's batch width (8) and twice it, on every app.
+  std::vector<config::CpuConfig> wide;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    wide.push_back(sampled_config(seed * 0x9e3779b97f4a7c15ULL + 2, 256));
+  }
+  for (const kernels::App app : kernels::all_apps()) {
+    const sim::Trace& trace = sim::trace(app, 256);
+    expect_lanes_match_single_runs(std::span(wide).first(8), trace);
+    expect_lanes_match_single_runs(wide, trace);
+  }
 }
 
 TEST(BatchSim, SingleLaneBatchMatchesScalar) {
@@ -162,11 +173,20 @@ TEST(BatchSim, EarlyLaneRetirementCompactsTheBatch) {
   }
   const sim::Trace& trace = sim::trace(kernels::App::kMiniBude, 128);
 
+  obs::Counter& batch_runs = obs::Registry::global().counter("sim.batch_runs");
+  obs::Counter& lanes_active =
+      obs::Registry::global().counter("sim.batch_lanes_active");
+  const std::uint64_t runs_before = batch_runs.value();
+  const std::uint64_t lanes_before = lanes_active.value();
   core::BatchRunInfo info;
   const std::vector<sim::RunResult> batched =
       sim::simulate_batch(configs, trace, {}, &info);
   ASSERT_EQ(batched.size(), configs.size());
   EXPECT_GT(info.windows, 0u);
+  // The pass is one batch in the registry, its occupancy the lane-windows.
+  EXPECT_EQ(batch_runs.value() - runs_before, 1u);
+  EXPECT_EQ(lanes_active.value() - lanes_before, info.lane_windows);
+  EXPECT_GE(info.lane_windows, info.windows);
   EXPECT_LE(info.mean_active_lanes(), static_cast<double>(configs.size()));
   EXPECT_GE(info.mean_active_lanes(), 1.0);
 

@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "analysis/surrogate_eval.hpp"
 #include "common/require.hpp"
 #include "eval/fused.hpp"
+#include "eval/service.hpp"
 
 namespace adse::campaign {
 namespace {
@@ -113,6 +115,83 @@ TEST(Campaign, FusedThresholdZeroIsBitIdenticalToAllSim) {
   // threshold 0 — an all-sim caller must never load one by key collision.
   EXPECT_NE(cache_path(fused_spec).find("_fused"), std::string::npos);
   EXPECT_EQ(cache_path(tiny_spec()).find("_fused"), std::string::npos);
+}
+
+TEST(Campaign, FusedCampaignReDerivesThePaperHeadline) {
+  // The fused-surrogate campaign (DESIGN.md §14) at 2,500 configs x 4 apps.
+  // The uncertainty-gated router must answer >= 10x more evaluations from
+  // the analytical x residual model than from the simulator, its probes
+  // must price that model, and the surrogate-heavy table must still
+  // re-derive the paper's headline (abstract, Fig. 3): vector length
+  // outweighs memory speed and ROB/FP sizing for the vectorised codes, and
+  // barely matters for the poorly vectorised ones.
+  constexpr int kConfigs = 2500;
+  eval::ServiceConfig service_config;
+  service_config.threads = 4;
+  service_config.batch_k = 8;
+  service_config.fused_threshold = 1.0;
+  service_config.probe_every = 64;
+  eval::EvalService service(service_config);
+  eval::FusedModel model(service_config.fused_options());
+  CampaignSpec spec;
+  spec.label = "fused_headline";
+  spec.num_configs = kConfigs;
+  spec.seed = 42;
+  spec.verbose = false;
+  spec.fused = &model;
+  const CampaignResult result = run_campaign(spec, service);
+
+  obs::Registry& metrics = service.metrics();
+  const auto count = [&metrics](const char* name) {
+    return metrics.counter(name).value();
+  };
+  const std::uint64_t evaluations =
+      static_cast<std::uint64_t>(kConfigs) * kernels::kNumApps;
+  const std::uint64_t real_sims = count("eval.routed_sim");
+  ASSERT_EQ(count("eval.requests"), evaluations);
+  EXPECT_GE(evaluations, 10 * real_sims);
+  EXPECT_GT(count("eval.fused_probes"), 0u);
+  EXPECT_LT(metrics.histogram("eval.routing_error_pct").quantile(0.5), 50.0);
+  // Distinct configs: nothing is a memo hit or a join, so the simulator ran
+  // exactly the routed sims, and the summary line reports those alone.
+  EXPECT_EQ(count("eval.memo_hits") + count("eval.inflight_joins"), 0u);
+  EXPECT_EQ(count("eval.sim_runs"), real_sims);
+  EXPECT_EQ(count("eval.backend_runs"), evaluations);
+  const std::string line = service.summary_line();
+  EXPECT_NE(line.find("[eval] fresh simulator runs: " +
+                      std::to_string(real_sims) + " "),
+            std::string::npos)
+      << line;
+
+  // The paper's importance pipeline (§V-C CART + permutation importance)
+  // over the fused table.
+  std::array<std::vector<double>, kernels::kNumApps> percent;
+  for (kernels::App app : kernels::all_apps()) {
+    percent[static_cast<std::size_t>(app)] =
+        analysis::evaluate_surrogate(app, result.dataset(app), spec.seed)
+            .importance.percent;
+  }
+  const auto pct = [&percent](kernels::App app, config::ParamId id) {
+    return percent[static_cast<std::size_t>(app)]
+                  [static_cast<std::size_t>(id)];
+  };
+  for (const kernels::App app :
+       {kernels::App::kStream, kernels::App::kMiniBude}) {
+    const double vl = pct(app, config::ParamId::kVectorLength);
+    for (const config::ParamId id :
+         {config::ParamId::kL1Latency, config::ParamId::kL1Clock,
+          config::ParamId::kL2Latency, config::ParamId::kL2Clock,
+          config::ParamId::kRamLatency, config::ParamId::kRamClock,
+          config::ParamId::kRobSize, config::ParamId::kFpRegisters}) {
+      EXPECT_GT(vl, pct(app, id))
+          << kernels::app_slug(app) << " vs " << config::param_name(id);
+    }
+  }
+  for (const kernels::App app :
+       {kernels::App::kTeaLeaf, kernels::App::kMiniSweep}) {
+    EXPECT_LT(pct(app, config::ParamId::kVectorLength), 5.0)
+        << kernels::app_slug(app);
+  }
 }
 
 TEST(Campaign, ResultFromTableRoundTrips) {

@@ -4,6 +4,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,9 +13,14 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/require.hpp"
+#include "config/baselines.hpp"
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
+#include "sim/batch_sim.hpp"
+#include "sim/trace.hpp"
 
 namespace adse::obs {
 namespace {
@@ -304,6 +310,46 @@ TEST(Tracer, ExportIsLoadableChromeTraceJson) {
   EXPECT_NE(json.find("\"detail\": \"guided #1\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": "), std::string::npos);
   EXPECT_NE(json.find("\"dur\": "), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(Tracer, EngineRunsExportTheirSpansAndCounters) {
+  const config::CpuConfig tx2 = config::thunderx2_baseline();
+  const sim::Trace& trace =
+      sim::trace(kernels::App::kStream, tx2.core.vector_length_bits);
+  sim::simulate(tx2, trace);
+  sim::simulate_batch({&tx2, 1}, trace);
+  // In the re-run below, the tracer writes its file at exit.
+  if (tracing_enabled()) return;
+
+  // The metrics snapshot of these runs parses and counts them.
+  const std::string metrics = Registry::global().render_json();
+  EXPECT_TRUE(json_valid(metrics)) << metrics;
+  for (const char* name :
+       {"sim.simulations", "sim.batch_runs", "sim.batch_lanes_active"}) {
+    EXPECT_GT(Registry::global().counter(name).value(), 0u) << name;
+    EXPECT_NE(metrics.find('"' + std::string(name) + '"'), std::string::npos)
+        << name;
+  }
+
+  // The process-wide tracer reads ADSE_TRACE_FILE once, at its first use,
+  // so the trace comes from a re-run of this case with the variable set.
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("adse_engine_trace_" + std::to_string(::getpid()) + ".json");
+  std::filesystem::remove(path);
+  const std::string command =
+      "ADSE_TRACE_FILE='" + path.string() + "' '" +
+      std::filesystem::read_symlink("/proc/self/exe").string() +
+      "' --gtest_filter=" + info->test_suite_name() + "." + info->name() +
+      " > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  const std::string json = slurp(path);
+  EXPECT_TRUE(json_valid(json)) << json;
+  EXPECT_NE(json.find("\"name\": \"sim.simulate\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"sim.simulate_batch\""),
+            std::string::npos);
   std::filesystem::remove(path);
 }
 

@@ -382,6 +382,10 @@ TEST_F(ServeTest, ManyClientsSameConfigCoalesceToOneBackendRun) {
   EXPECT_EQ(metrics.counter("eval.backend_runs").value(), 1u);
   EXPECT_EQ(metrics.counter("eval.requests").value(),
             static_cast<std::uint64_t>(kClients));
+  // Every other copy joined the one run or hit its finished entry.
+  EXPECT_EQ(metrics.counter("eval.inflight_joins").value() +
+                metrics.counter("eval.memo_hits").value(),
+            static_cast<std::uint64_t>(kClients - 1));
 }
 
 TEST_F(ServeTest, GarbageBytesGetErrorFrameAndDaemonSurvives) {
@@ -716,6 +720,61 @@ TEST_F(ServeTest, PipelinedColdBatchIsAnsweredRunByRun) {
   EXPECT_LT(served_at_first_answer, kRuns);
   EXPECT_EQ(daemon.service().metrics().counter("eval.backend_runs").value(),
             kRuns);
+}
+
+TEST_F(ServeTest, ManyClientsPipelineBatchesMixingHitsAndFreshRuns) {
+  // Eight clients send pipelined batches to four workers. Each batch repeats
+  // a warm set (memo hits) around one design of its own (a fresh run), so
+  // hits and simulations share batches, queues and sockets. Every answer
+  // must be ok, and every hit must bit-match the run that warmed it.
+  Daemon daemon(daemon_options(4));
+  daemon.start();
+  std::vector<EvalRequest> warm;
+  for (int i = 0; i < 6; ++i) warm.push_back(stream_request(64 + 16 * i));
+  const std::vector<EvalResponse> cold =
+      EvalClient(client_options()).evaluate(warm);
+  for (const EvalResponse& r : cold) ASSERT_TRUE(r.ok()) << r.error;
+
+  constexpr int kClients = 8;
+  constexpr int kBatches = 3;
+  constexpr int kBatch = 32;
+  constexpr int kFresh = kBatch / 2;  // the fresh design's place in a batch
+  std::vector<int> bad(kClients, 0);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      EvalClient client(client_options());
+      for (int b = 0; b < kBatches; ++b) {
+        const auto warm_index = [&](int j) {
+          return static_cast<std::size_t>(c + b + j) % warm.size();
+        };
+        std::vector<EvalRequest> batch;
+        for (int j = 0; j < kBatch; ++j) {
+          batch.push_back(j == kFresh
+                              ? stream_request(256 + 8 * (c * kBatches + b))
+                              : warm[warm_index(j)]);
+        }
+        const std::vector<EvalResponse> answers = client.evaluate(batch);
+        for (int j = 0; j < kBatch; ++j) {
+          const bool hit_matches =
+              j == kFresh || answer_bytes(answers[j]) ==
+                                 answer_bytes(cold[warm_index(j)]);
+          bad[c] += answers[j].ok() && hit_matches ? 0 : 1;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int c = 0; c < kClients; ++c) EXPECT_EQ(bad[c], 0) << "client " << c;
+  obs::Registry& metrics = daemon.service().metrics();
+  const std::uint64_t fresh = kClients * kBatches;
+  EXPECT_EQ(metrics.counter("eval.requests").value(),
+            warm.size() + fresh * kBatch);
+  EXPECT_EQ(metrics.counter("eval.backend_runs").value(), warm.size() + fresh);
+  EXPECT_EQ(metrics.counter("eval.memo_hits").value() +
+                metrics.counter("eval.inflight_joins").value(),
+            fresh * (kBatch - 1));
 }
 
 // --- SIGTERM mid-batch: teardown-order regression ---------------------------
