@@ -85,8 +85,9 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   std::vector<eval::EvalResponse> results;
   {
     obs::Span span("campaign.evaluate", "campaign");
-    span.set_detail(spec.label + ": " + std::to_string(requests.size()) +
-                    " runs");
+    span.set_detail([&] {
+      return spec.label + ": " + std::to_string(requests.size()) + " runs";
+    });
     eval::EvalPolicy policy;
     policy.fused = spec.fused;
     policy.progress = progress;

@@ -459,7 +459,7 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
   if (budget_left() > 0 &&
       static_cast<int>(result.evaluated.size()) < options.initial_samples) {
     obs::Span span("dse.round", "dse");
-    span.set_detail(options.label + " #0 (seed batch)");
+    span.set_detail([&] { return options.label + " #0 (seed batch)"; });
     const int want =
         std::min(options.initial_samples -
                      static_cast<int>(result.evaluated.size()),
@@ -486,7 +486,8 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
     ++round;
     Stopwatch watch;
     obs::Span span("dse.round", "dse");
-    span.set_detail(options.label + " #" + std::to_string(round));
+    span.set_detail(
+        [&] { return options.label + " #" + std::to_string(round); });
     // Propose: global draws + local mutants of the incumbents.
     const auto incumbents =
         incumbents_of(result.evaluated, options.candidates.num_incumbents);
@@ -614,7 +615,8 @@ SearchResult random_search(const SearchOptions& options,
   while (static_cast<int>(result.evaluated.size()) < options.max_simulations) {
     Stopwatch watch;
     obs::Span span("dse.round", "dse");
-    span.set_detail(options.label + " #" + std::to_string(round));
+    span.set_detail(
+        [&] { return options.label + " #" + std::to_string(round); });
     const int want = std::min(options.batch_size,
                               options.max_simulations -
                                   static_cast<int>(result.evaluated.size()));

@@ -17,68 +17,39 @@ constexpr std::uint32_t kVersion = 2;
 /// Doubles in the power block (dynamic_j, leakage_j, area_mm2).
 constexpr std::size_t kPowerDoubles = 3;
 
-using bytes::put_double;
-using bytes::put_u64;
-
 /// Record checksum: byte-wise FNV-1a, frozen so every existing store loads.
-std::uint64_t checksum(const unsigned char* data, std::size_t n) {
+std::uint64_t checksum(const void* data, std::size_t n) {
   return hash::fnv1a_bytes(data, n);
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-double get_double(const unsigned char* p) {
-  const std::uint64_t bits = get_u64(p);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 std::string encode(const StoreRecord& record) {
   std::string out;
-  out.reserve(ResultStore::record_bytes());
-  put_u64(out, record.backend_tag);
-  put_u64(out, static_cast<std::uint64_t>(
-                   static_cast<std::int64_t>(record.app)));
-  for (double f : record.features) put_double(out, f);
-  ResultStore::visit_run_counters(
-      record.core, record.mem,
-      [&out](std::uint64_t v) { put_u64(out, v); });
-  put_double(out, record.power.dynamic_j);
-  put_double(out, record.power.leakage_j);
-  put_double(out, record.power.area_mm2);
-  put_u64(out, checksum(reinterpret_cast<const unsigned char*>(out.data()),
-                        out.size()));
+  bytes::Writer w(out, ResultStore::record_bytes());
+  w.u64(record.backend_tag);
+  w.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(record.app)));
+  for (double f : record.features) w.f64(f);
+  ResultStore::visit_run_counters(record.core, record.mem,
+                                  [&w](std::uint64_t v) { w.u64(v); });
+  w.f64(record.power.dynamic_j);
+  w.f64(record.power.leakage_j);
+  w.f64(record.power.area_mm2);
+  w.u64(checksum(out.data(), out.size() - sizeof(std::uint64_t)));
   return out;
 }
 
 /// Decodes one record; returns false on checksum mismatch (torn write).
-bool decode(const unsigned char* data, std::size_t bytes, StoreRecord& record) {
-  const std::size_t body = bytes - sizeof(std::uint64_t);
-  if (checksum(data, body) != get_u64(data + body)) return false;
-  const unsigned char* p = data;
-  const auto next_u64 = [&p] {
-    const std::uint64_t v = get_u64(p);
-    p += 8;
-    return v;
-  };
-  const auto next_double = [&p] {
-    const double v = get_double(p);
-    p += 8;
-    return v;
-  };
-  record.backend_tag = next_u64();
-  record.app = static_cast<std::int32_t>(static_cast<std::int64_t>(next_u64()));
-  for (double& f : record.features) f = next_double();
+bool decode(const unsigned char* data, std::size_t size, StoreRecord& record) {
+  const std::size_t body = size - sizeof(std::uint64_t);
+  if (checksum(data, body) != bytes::Cursor(data + body).u64()) return false;
+  bytes::Cursor c(data);
+  record.backend_tag = c.u64();
+  record.app = static_cast<std::int32_t>(static_cast<std::int64_t>(c.u64()));
+  for (double& f : record.features) f = c.f64();
   ResultStore::visit_run_counters(record.core, record.mem,
-                                 [&](std::uint64_t& v) { v = next_u64(); });
-  record.power.dynamic_j = next_double();
-  record.power.leakage_j = next_double();
-  record.power.area_mm2 = next_double();
+                                  [&c](std::uint64_t& v) { v = c.u64(); });
+  record.power.dynamic_j = c.f64();
+  record.power.leakage_j = c.f64();
+  record.power.area_mm2 = c.f64();
   return true;
 }
 

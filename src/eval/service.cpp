@@ -70,21 +70,8 @@ FusedOptions ServiceConfig::fused_options() const {
   return options;
 }
 
-std::size_t EvalService::MemoKeyHash::operator()(const MemoKey& key) const {
-  // Word-wise FNV-1a (common/hash.hpp) over the key's 8-byte slots; features
-  // are compared (and hashed) by exact bit pattern, which is sound because
-  // every feature vector comes out of the same discrete ParameterSpace
-  // generation path. Nothing iterates the memo maps, so the hash only places
-  // keys in shards and buckets.
-  std::uint64_t h = hash::mix_word(hash::kFnvOffset, key.tag);
-  h = hash::mix_word(
-      h, static_cast<std::uint64_t>(static_cast<std::int64_t>(key.app)));
-  for (double f : key.features) h = hash::mix_double(h, f);
-  return static_cast<std::size_t>(h);
-}
-
 EvalService::Shard& EvalService::shard_for(const MemoKey& key) {
-  return shards_[MemoKeyHash{}(key) % kNumShards];
+  return shards_[key.hash % kNumShards];
 }
 
 EvalService::EvalService(ServiceConfig config)
@@ -131,7 +118,8 @@ EvalService::EvalService(ServiceConfig config)
     // Pre-warm the memo with everything previous runs paid for. Duplicate
     // records (two processes appending the same point) collapse on insert.
     for (const StoreRecord& record : store_->loaded()) {
-      MemoKey key{record.backend_tag, record.app, record.features};
+      const MemoKey key =
+          make_key(record.backend_tag, record.app, record.features);
       Shard& shard = shard_for(key);
       std::lock_guard<std::mutex> lock(shard.mutex);
       auto [it, inserted] = shard.map.try_emplace(key);
@@ -154,10 +142,25 @@ EvalService::EvalService(ServiceConfig config)
 
 EvalService::~EvalService() = default;
 
+EvalService::MemoKey EvalService::make_key(
+    std::uint64_t tag, std::int32_t app,
+    const std::array<double, config::kNumParams>& features) {
+  // Word-wise FNV-1a (common/hash.hpp) of the features, seeded with the tag
+  // and the app; features are compared (and hashed) by exact bit pattern,
+  // which is sound because every feature vector comes out of the same
+  // discrete ParameterSpace generation path. Nothing iterates the memo
+  // maps, so the hash only places keys in shards and buckets.
+  const std::uint64_t seed = hash::mix_word(
+      hash::mix_word(hash::kFnvOffset, tag),
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(app)));
+  return MemoKey{tag, app, features,
+                 hash::fnv1a_words(features.data(), sizeof(features), seed)};
+}
+
 EvalService::MemoKey EvalService::make_key(const EvalRequest& request,
-                                           std::uint64_t tag) const {
-  return MemoKey{tag, static_cast<std::int32_t>(request.app),
-                 config::feature_vector(request.config)};
+                                           std::uint64_t tag) {
+  return make_key(tag, static_cast<std::int32_t>(request.app),
+                  config::feature_vector(request.config));
 }
 
 void EvalService::fill_from_slot(const EvalRequest& request, const Slot& slot,
@@ -196,7 +199,7 @@ std::optional<std::string> EvalService::run_chunk(
     std::span<const EvalRequest> requests, std::span<const Claim> claims,
     bool persist, const RunChunk& run, std::span<EvalResponse> out) {
   obs::Span span("eval.backend_run_batch", "eval");
-  span.set_detail(std::to_string(claims.size()) + " lanes");
+  span.set_detail([&] { return std::to_string(claims.size()) + " lanes"; });
   std::vector<std::size_t> members;
   members.reserve(claims.size());
   for (const Claim& claim : claims) members.push_back(claim.index);
@@ -259,46 +262,73 @@ std::vector<EvalResponse> EvalService::run_pipeline(
   };
 
   // 1. Resolve and claim. Each request's memo entry is found or inserted
-  // across the pool (a single request inline), so hashing and new entries
-  // are spread over the workers; claims are then taken in request order, so
-  // which of two duplicates claims does not depend on the pool. A finished
-  // slot is answered now; an empty one is claimed (state -> kRunning) for
-  // this call's chunks; a running one — another caller's, or an earlier
-  // duplicate in this batch — is joined in step 4.
-  std::vector<Claim> resolved(requests.size());
-  const auto resolve = [&](std::size_t i) {
+  // under one shard lock — across the pool, a single request inline — so
+  // hashing and new entries are spread over the workers. A finished slot is
+  // answered there and then: its blocks never change after kDone, so they
+  // are copied after the lock is dropped. The rest are claimed in request
+  // order, so which of two duplicates claims does not depend on the pool; a
+  // lone request claims under the lock that resolved it. An empty slot is
+  // claimed (state -> kRunning) for this call's chunks; a running one —
+  // another caller's, or an earlier duplicate in this batch — is joined in
+  // step 4.
+  const auto answer_hit = [&](std::size_t i, const Slot& slot) {
+    requests_->add(1);
+    (slot.from_store ? store_hits_ : memo_hits_)->add(1);
+    fill_from_slot(requests[i], slot,
+                   slot.from_store ? ResultSource::kStore : ResultSource::kMemo,
+                   out[i]);
+    note_done();
+  };
+  struct Resolved {
+    Claim claim;
+    Slot::State state;  ///< as found, before any claim
+  };
+  const auto resolve = [&](std::size_t i, bool claim) {
     const MemoKey key = make_key(requests[i], tag);
     Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto& entry = *shard.map.try_emplace(key).first;
-    resolved[i] = {i, &shard, &entry.first, &entry.second};
-  };
-  if (requests.size() == 1) {
-    resolve(0);
-  } else {
-    pool_.parallel_for(requests.size(), resolve);
-  }
-  std::vector<Claim> claims;
-  std::vector<Claim> joins;
-  for (const Claim& claim : resolved) {
-    Slot::State state;
+    Resolved resolved{};
     {
-      std::lock_guard<std::mutex> lock(claim.shard->mutex);
-      state = claim.slot->state;
-      if (state == Slot::State::kEmpty) {
-        claim.slot->state = Slot::State::kRunning;
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      auto& entry = *shard.map.try_emplace(key).first;
+      resolved = {{i, &shard, &entry.first, &entry.second},
+                  entry.second.state};
+      if (claim && resolved.state == Slot::State::kEmpty) {
+        entry.second.state = Slot::State::kRunning;
       }
     }
+    if (resolved.state == Slot::State::kDone) {
+      answer_hit(i, *resolved.claim.slot);
+    }
+    return resolved;
+  };
+  std::vector<Claim> claims;
+  std::vector<Claim> joins;
+  const auto take = [&](const Claim& claim, Slot::State state) {
     requests_->add(1);
-    if (state == Slot::State::kDone) {
-      const bool stored = claim.slot->from_store;
-      (stored ? store_hits_ : memo_hits_)->add(1);
-      fill_from_slot(requests[claim.index], *claim.slot,
-                     stored ? ResultSource::kStore : ResultSource::kMemo,
-                     out[claim.index]);
-      note_done();
-    } else {
-      (state == Slot::State::kEmpty ? claims : joins).push_back(claim);
+    (state == Slot::State::kEmpty ? claims : joins).push_back(claim);
+  };
+  if (requests.size() == 1) {
+    const Resolved lone = resolve(0, true);
+    if (lone.state != Slot::State::kDone) take(lone.claim, lone.state);
+  } else {
+    std::vector<Resolved> resolved(requests.size());
+    pool_.parallel_for(requests.size(),
+                       [&](std::size_t i) { resolved[i] = resolve(i, false); });
+    for (const auto& [claim, seen] : resolved) {
+      if (seen == Slot::State::kDone) continue;
+      Slot::State state;
+      {
+        std::lock_guard<std::mutex> lock(claim.shard->mutex);
+        state = claim.slot->state;
+        if (state == Slot::State::kEmpty) {
+          claim.slot->state = Slot::State::kRunning;
+        }
+      }
+      if (state == Slot::State::kDone) {
+        answer_hit(claim.index, *claim.slot);
+      } else {
+        take(claim, state);
+      }
     }
   }
 
@@ -412,7 +442,8 @@ std::vector<EvalResponse> EvalService::evaluate(
   // Route nothing: every request runs on the backend, bit-identically (no
   // model reads, no observations — the policy is out of the loop).
   obs::Span span("eval.batch", "eval");
-  span.set_detail(std::to_string(requests.size()) + " requests");
+  span.set_detail(
+      [&] { return std::to_string(requests.size()) + " requests"; });
   return run_pipeline(requests, ResultStore::tag(backend.key()), true,
                       backend_runner(backend), policy.progress);
 }
@@ -423,7 +454,8 @@ std::vector<EvalResponse> EvalService::evaluate_routed(
   std::vector<EvalResponse> out(requests.size());
   if (requests.empty()) return out;
   obs::Span span("eval.routed_batch", "eval");
-  span.set_detail(std::to_string(requests.size()) + " requests");
+  span.set_detail(
+      [&] { return std::to_string(requests.size()) + " requests"; });
   const std::uint64_t sim_tag = ResultStore::tag(sim.key());
   const std::uint64_t surrogate_tag = fused_tag(model);
 

@@ -130,19 +130,24 @@ class EvalService final : public Evaluator {
   static EvalService& shared();
 
  private:
+  /// A memo key and its hash, computed once by make_key: the hash picks
+  /// the shard and the bucket, and a probe compares it before the features.
   struct MemoKey {
     std::uint64_t tag;  ///< ResultStore::tag of a Backend::key() or a model
     std::int32_t app;
     std::array<double, config::kNumParams> features;
+    std::uint64_t hash;
 
     bool operator==(const MemoKey& other) const {
-      return tag == other.tag && app == other.app &&
+      return hash == other.hash && tag == other.tag && app == other.app &&
              features == other.features;
     }
   };
 
   struct MemoKeyHash {
-    std::size_t operator()(const MemoKey& key) const;
+    std::size_t operator()(const MemoKey& key) const noexcept {
+      return static_cast<std::size_t>(key.hash);
+    }
   };
 
   /// One memoised evaluation. unordered_map nodes are address-stable, so a
@@ -196,7 +201,11 @@ class EvalService final : public Evaluator {
 
   Shard& shard_for(const MemoKey& key);
 
-  MemoKey make_key(const EvalRequest& request, std::uint64_t tag) const;
+  /// The key (and its one hash) of a request, or of a stored record.
+  static MemoKey make_key(
+      std::uint64_t tag, std::int32_t app,
+      const std::array<double, config::kNumParams>& features);
+  static MemoKey make_key(const EvalRequest& request, std::uint64_t tag);
 
   /// Serves `out` from a finished slot, attributing the hit.
   void fill_from_slot(const EvalRequest& request, const Slot& slot,

@@ -11,10 +11,16 @@
 ///
 ///   header : magic "ADSW", u32 version, u32 type, u64 id, u32 payload_len
 ///   body   : payload_len bytes
-///   trailer: u64 checksum of header + payload — FNV-1a over 8-byte words,
-///            `h ^= h >> 32` after each multiply, tail bytes byte-wise
-///            (`hash::fnv1a_words`, common/hash.hpp; version 2 — version 1
-///            hashed byte by byte)
+///   trailer: u64 checksum of header + payload — FNV-1a over 8-byte words
+///            in four interleaved lanes, `h ^= h >> 32` after each
+///            multiply, the lanes folded in lane order, tail bytes
+///            byte-wise (`hash::fnv1a_words`, common/hash.hpp; version 3 —
+///            version 2 ran one lane, version 1 hashed byte by byte)
+///
+/// Every frame is written in place: its size is computed first, then the
+/// header, payload and trailer are copied into the output buffer after one
+/// resize (append_request / append_response write a daemon's or client's
+/// connection buffer directly; no payload string is built and copied).
 ///
 /// A frame is published with a single buffered write, so a torn stream can
 /// only ever be short — `try_decode` reports kNeedMore until the bytes
@@ -33,7 +39,7 @@
 namespace adse::eval::wire {
 
 /// Protocol version; bumped on any frame, checksum or payload layout change.
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Frame magic: "ADSW".
 inline constexpr std::uint32_t kMagic = 0x57534441u;
@@ -97,6 +103,16 @@ std::string encode_frame(FrameType type, std::uint64_t id,
 void append_frame(std::string& out, FrameType type, std::uint64_t id,
                   std::string_view payload);
 
+/// Appends one kEvalRequest frame carrying encode_request(request), written
+/// in place: the same bytes as append_frame of that payload.
+void append_request(std::string& out, std::uint64_t id,
+                    const EvalRequest& request);
+
+/// Appends one kEvalResponse frame carrying encode_response(response),
+/// written in place.
+void append_response(std::string& out, std::uint64_t id,
+                     const EvalResponse& response);
+
 /// Attempts to decode the frame at the head of `buffer`. On kOk, `out` is
 /// filled (payload viewing into `buffer`) and `consumed` is the total frame
 /// size to drop from the buffer's front. On kNeedMore nothing is consumed.
@@ -110,7 +126,12 @@ DecodeStatus try_decode(std::string_view buffer, Frame& out,
 /// crash or an out-of-range enum.
 
 std::string encode_request(const EvalRequest& request);
-bool decode_request(std::string_view payload, EvalRequest& out);
+
+/// Decodes a request payload. With `shard_hash` set, a decoded request's
+/// request_shard_hash is stored there, computed from the feature bits the
+/// decoder has already read.
+bool decode_request(std::string_view payload, EvalRequest& out,
+                    std::uint64_t* shard_hash = nullptr);
 
 std::string encode_response(const EvalResponse& response);
 bool decode_response(std::string_view payload, EvalResponse& out);

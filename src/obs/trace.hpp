@@ -15,6 +15,8 @@
 
 #include <mutex>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/stopwatch.hpp"
@@ -67,8 +69,7 @@ class Tracer {
   std::vector<Event> events_;
 };
 
-/// True if the process-wide tracer is armed — use to skip building span
-/// detail strings on hot paths.
+/// True if the process-wide tracer is armed.
 bool tracing_enabled();
 
 /// RAII span: records [construction, destruction) into a tracer. When the
@@ -95,10 +96,18 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  /// Attaches a detail string (shown in the event's args); ignored when the
-  /// tracer is disabled.
-  void set_detail(std::string detail) {
-    if (tracer_ != nullptr) detail_ = std::move(detail);
+  /// Attaches a detail (shown in the event's args): a string, or a
+  /// callable returning one that runs only when the span is armed, so a
+  /// disarmed span never formats its detail. Ignored when the tracer is
+  /// disabled.
+  template <typename Detail>
+  void set_detail(Detail&& detail) {
+    if (tracer_ == nullptr) return;
+    if constexpr (std::is_invocable_v<Detail&>) {
+      detail_ = detail();
+    } else {
+      detail_ = std::forward<Detail>(detail);
+    }
   }
 
  private:

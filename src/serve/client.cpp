@@ -82,10 +82,9 @@ void EvalClient::disconnect() {
 }
 
 bool EvalClient::read_frame(wire::Frame& frame, EvalStatus& status) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.timeout_ms > 0 ? options_.timeout_ms
-                                                        : 1 << 30);
+  // The deadline starts when the client first has to wait: a frame already
+  // in the receive buffer costs no clock read.
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   while (true) {
     const wire::DecodeStatus decode = reader_.next(frame);
     if (decode == wire::DecodeStatus::kOk) return true;
@@ -95,8 +94,14 @@ bool EvalClient::read_frame(wire::Frame& frame, EvalStatus& status) {
       return false;
     }
 
-    const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
+    const auto now = std::chrono::steady_clock::now();
+    if (!deadline) {
+      deadline = now + std::chrono::milliseconds(
+                           options_.timeout_ms > 0 ? options_.timeout_ms
+                                                   : 1 << 30);
+    }
+    const auto remaining =
+        std::chrono::duration_cast<std::chrono::milliseconds>(*deadline - now);
     if (remaining.count() <= 0) {
       status = EvalStatus::kTimeout;
       return false;
@@ -134,14 +139,13 @@ std::vector<EvalResponse> EvalClient::evaluate(
     // one). index_of[id - first_id] is the request a frame id answers.
     const std::uint64_t first_id = next_id_;
     std::vector<std::size_t> index_of;
-    std::string batch;
+    batch_.clear();
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (answered[i]) continue;
       index_of.push_back(i);
-      wire::append_frame(batch, wire::FrameType::kEvalRequest, next_id_++,
-                         wire::encode_request(requests[i]));
+      wire::append_request(batch_, next_id_++, requests[i]);
     }
-    if (!send_all(fd_, batch.data(), batch.size())) {
+    if (!send_all(fd_, batch_.data(), batch_.size())) {
       disconnect();
       continue;  // retry budget spent on the reconnect
     }

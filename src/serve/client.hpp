@@ -84,16 +84,18 @@ class EvalClient final : public eval::Evaluator {
   bool control_roundtrip(eval::wire::FrameType send_type,
                          eval::wire::FrameType want_type, std::string* payload);
 
-  /// Reads until one complete frame is decoded (deadline-bounded) or the
-  /// stream dies. The frame's payload views the receive buffer and stays
-  /// valid until the next read_frame. Returns false on
-  /// timeout/disconnect/corruption; `status` reports which.
+  /// Reads until one complete frame is decoded or the stream dies. The
+  /// deadline (timeout_ms) starts when the first receive has to wait. The
+  /// frame's payload views the receive buffer and stays valid until the
+  /// next read_frame. Returns false on timeout/disconnect/corruption;
+  /// `status` reports which.
   bool read_frame(eval::wire::Frame& frame, eval::EvalStatus& status);
 
   ClientOptions options_;
   int fd_ = -1;
   std::uint64_t next_id_ = 1;
   FrameReader reader_;  ///< unparsed bytes carried across read_frame calls
+  std::string batch_;   ///< one attempt's request frames; keeps its capacity
 };
 
 }  // namespace adse::serve

@@ -283,7 +283,8 @@ void Daemon::group_request(const std::shared_ptr<Connection>& conn,
                            const wire::Frame& frame,
                            std::vector<std::vector<Job>>& groups) {
   EvalRequest request;
-  if (!wire::decode_request(frame.payload, request)) {
+  std::uint64_t shard_hash = 0;
+  if (!wire::decode_request(frame.payload, request, &shard_hash)) {
     // The frame checksum held, so the stream is intact — reject the
     // malformed or out-of-range request but keep the connection.
     frames_bad_->add(1);
@@ -291,8 +292,8 @@ void Daemon::group_request(const std::shared_ptr<Connection>& conn,
                "malformed request payload");
     return;
   }
-  const std::size_t shard = static_cast<std::size_t>(
-      wire::request_shard_hash(request) % workers_.size());
+  const std::size_t shard =
+      static_cast<std::size_t>(shard_hash % workers_.size());
   groups[shard].push_back({conn, frame.id, std::move(request)});
 }
 
@@ -436,8 +437,7 @@ void Daemon::answer(std::vector<Job>& jobs, std::vector<Outgoing>& outgoing) {
         out->conn = job.conn.get();
         out->bytes.clear();
       }
-      wire::append_frame(out->bytes, wire::FrameType::kEvalResponse,
-                         job.frame_id, wire::encode_response(response));
+      wire::append_response(out->bytes, job.frame_id, response);
     }
     // Hits take microseconds, so a run of them shares one send per
     // connection. Anything else may have waited on a backend run: send it

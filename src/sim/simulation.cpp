@@ -126,7 +126,7 @@ std::vector<RunResult> run_batch(std::span<const config::CpuConfig> configs,
                                  const Fidelity& fidelity,
                                  core::BatchRunInfo* info) {
   obs::Span span("sim.simulate_batch", "sim");
-  span.set_detail(std::to_string(configs.size()) + " lanes");
+  span.set_detail([&] { return std::to_string(configs.size()) + " lanes"; });
   core::BatchRunInfo run_info;
   std::vector<RunResult> out = run_lanes(configs, decoded, fidelity, &run_info);
   if (info != nullptr) *info = run_info;

@@ -737,6 +737,74 @@ TEST(EvalService, SmallPipelinesRunOneLanePerChunk) {
   EXPECT_EQ(widths.snapshot().max, 8.0);
 }
 
+TEST(EvalService, LoneHitCountsOneRequestAndRunsNothing) {
+  // A request already answered, asked for alone, is answered under the
+  // lock that finds it: it adds exactly one request and one memo or store
+  // hit, starts no backend run, and carries the same stat blocks, bit for
+  // bit, as the answer a batched evaluate gives for it.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "adse_eval_lone_hit";
+  std::filesystem::remove_all(dir);
+  const std::string store = (dir / "eval_store.bin").string();
+  const std::vector<EvalRequest> requests = sampled_requests(4, 20261020);
+  std::vector<EvalResponse> fresh;
+
+  const auto expect_lone_hits = [&](EvalService& service,
+                                    ResultSource source) {
+    const std::vector<EvalResponse> batched = service.evaluate(requests);
+    const char* hits =
+        source == ResultSource::kMemo ? "eval.memo_hits" : "eval.store_hits";
+    const char* other =
+        source == ResultSource::kMemo ? "eval.store_hits" : "eval.memo_hits";
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(batched[i].source, source) << i;
+      const std::uint64_t requests_before = count(service, "eval.requests");
+      const std::uint64_t hits_before = count(service, hits);
+      const std::uint64_t other_before = count(service, other);
+      const std::uint64_t joins_before = count(service, "eval.inflight_joins");
+      const std::uint64_t runs_before = count(service, "eval.backend_runs");
+      const EvalResponse lone = evaluate_alone(service, requests[i]);
+      ASSERT_TRUE(lone.ok()) << lone.error;
+      EXPECT_EQ(lone.source, source);
+      EXPECT_EQ(count(service, "eval.requests"), requests_before + 1);
+      EXPECT_EQ(count(service, hits), hits_before + 1);
+      EXPECT_EQ(count(service, other), other_before);
+      EXPECT_EQ(count(service, "eval.inflight_joins"), joins_before);
+      EXPECT_EQ(count(service, "eval.backend_runs"), runs_before);
+      for (const EvalResponse* answer :
+           {&batched[i], static_cast<const EvalResponse*>(&fresh[i])}) {
+        EXPECT_EQ(std::memcmp(&lone.run.core, &answer->run.core,
+                              sizeof(lone.run.core)),
+                  0)
+            << i;
+        EXPECT_EQ(std::memcmp(&lone.run.mem, &answer->run.mem,
+                              sizeof(lone.run.mem)),
+                  0)
+            << i;
+        EXPECT_EQ(std::memcmp(&lone.run.power, &answer->run.power,
+                              sizeof(lone.run.power)),
+                  0)
+            << i;
+        EXPECT_EQ(lone.run.app, answer->run.app);
+        EXPECT_EQ(lone.run.config_name, answer->run.config_name);
+      }
+    }
+  };
+
+  {
+    EvalService service(hermetic(2, store));
+    fresh = service.evaluate(requests);
+    require_ok(fresh);
+    expect_lone_hits(service, ResultSource::kMemo);
+    EXPECT_EQ(count(service, "eval.sim_runs"), requests.size());
+  }
+  // A service on the same store answers the same requests from disk.
+  EvalService warm(hermetic(2, store));
+  expect_lone_hits(warm, ResultSource::kStore);
+  EXPECT_EQ(count(warm, "eval.sim_runs"), 0u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(EvalService, SummaryLineReportsFreshRuns) {
   EvalService service(hermetic(1));
   CountingBackend backend;

@@ -313,6 +313,39 @@ TEST(Tracer, ExportIsLoadableChromeTraceJson) {
   std::filesystem::remove(path);
 }
 
+TEST(Tracer, SpanFormatsItsDetailOnlyWhenArmed) {
+  // A lazily formatted detail runs only under an armed tracer: a disarmed
+  // span costs its caller no string formatting.
+  int formatted = 0;
+  const auto detail = [&formatted] {
+    ++formatted;
+    return std::string("42 requests");
+  };
+  {
+    Tracer disarmed("");
+    ASSERT_FALSE(disarmed.enabled());
+    Span span(disarmed, "eval.batch", "eval");
+    span.set_detail(detail);
+  }
+  EXPECT_EQ(formatted, 0);
+
+  const auto path =
+      std::filesystem::temp_directory_path() / "adse_trace_lazy_detail.json";
+  std::filesystem::remove(path);
+  {
+    Tracer armed(path.string());
+    {
+      Span span(armed, "eval.batch", "eval");
+      span.set_detail(detail);
+    }
+    EXPECT_EQ(formatted, 1);
+    armed.flush();
+  }
+  EXPECT_NE(slurp(path).find("\"detail\": \"42 requests\""),
+            std::string::npos);
+  std::filesystem::remove(path);
+}
+
 TEST(Tracer, EngineRunsExportTheirSpansAndCounters) {
   const config::CpuConfig tx2 = config::thunderx2_baseline();
   const sim::Trace& trace =

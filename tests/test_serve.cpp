@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "config/baselines.hpp"
+#include "config/param_space.hpp"
 #include "eval/result_store.hpp"
 #include "eval/wire.hpp"
 #include "serve/client.hpp"
@@ -44,6 +46,87 @@ EvalRequest stream_request(int rob = 0) {
   EvalRequest request{config::thunderx2_baseline(), kernels::App::kStream};
   if (rob > 0) request.config.core.rob_size = rob;
   return request;
+}
+
+/// A response with a distinct value in every field the wire carries.
+EvalResponse sample_response() {
+  EvalResponse response;
+  response.status = EvalStatus::kOk;
+  response.source = eval::ResultSource::kStore;
+  response.run.app = "stream";
+  response.run.config_name = "cfg-7";
+  std::uint64_t next = 1;
+  eval::ResultStore::visit_run_counters(
+      response.run.core, response.run.mem,
+      [&next](std::uint64_t& v) { v = next++ * 0x9E3779B97F4A7C15ULL; });
+  response.run.power.dynamic_j = 1.25e-6;
+  response.run.power.leakage_j = 2.5e-7;
+  response.run.power.area_mm2 = 3.5;
+  return response;
+}
+
+/// A one-connection fake daemon on a unix socket: it accepts one client,
+/// hands the connection to `respond` once the first request bytes arrive,
+/// then reads until the client closes.
+class FakeServer {
+ public:
+  FakeServer(const std::string& name, std::function<void(int fd)> respond)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("adse_serve_fake_" + name)) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    path_ = (dir_ / "fake.sock").string();
+    listener_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path_.c_str(), sizeof(addr.sun_path) - 1);
+    bound_ = listener_ >= 0 &&
+             ::bind(listener_, reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)) == 0 &&
+             ::listen(listener_, 1) == 0;
+    if (!bound_) return;
+    thread_ = std::thread([this, respond = std::move(respond)] {
+      const int fd = ::accept(listener_, nullptr, nullptr);
+      if (fd < 0) return;
+      char chunk[4096];
+      if (::recv(fd, chunk, sizeof(chunk), 0) > 0) respond(fd);
+      while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+      }
+      ::close(fd);
+    });
+  }
+
+  FakeServer(const FakeServer&) = delete;
+  FakeServer& operator=(const FakeServer&) = delete;
+
+  ~FakeServer() {
+    if (thread_.joinable()) thread_.join();
+    if (listener_ >= 0) ::close(listener_);
+    std::filesystem::remove_all(dir_);
+  }
+
+  bool bound() const { return bound_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::string path_;
+  int listener_ = -1;
+  bool bound_ = false;
+  std::thread thread_;
+};
+
+/// Version 2's frame trailer: the word-wise hash in one lane (each 8-byte
+/// word xor-multiplied into one state, then the tail byte-wise).
+std::uint64_t one_lane_word_hash(const char* data, std::size_t n) {
+  std::uint64_t h = hash::kFnvOffset;
+  std::size_t i = 0;
+  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
+    std::uint64_t word;
+    std::memcpy(&word, data + i, sizeof(word));
+    h = hash::mix_word(h, word);
+  }
+  return hash::fnv1a_bytes(data + i, n - i, h);
 }
 
 // --- wire protocol: round trips ---------------------------------------------
@@ -107,6 +190,43 @@ TEST(Wire, FrameRoundTrip) {
   EXPECT_EQ(frame.payload, payload);
 }
 
+TEST(Wire, InPlaceFramesMatchPayloadFrames) {
+  // append_request / append_response write the frame in place; the bytes
+  // are those of the payload encoder framed by append_frame.
+  EvalRequest request = stream_request(192);
+  request.config.name = "in-place";
+  const EvalResponse response = sample_response();
+  std::string in_place = "prefix";
+  wire::append_request(in_place, 11, request);
+  wire::append_response(in_place, 12, response);
+  std::string framed = "prefix";
+  wire::append_frame(framed, wire::FrameType::kEvalRequest, 11,
+                     wire::encode_request(request));
+  wire::append_frame(framed, wire::FrameType::kEvalResponse, 12,
+                     wire::encode_response(response));
+  EXPECT_EQ(in_place, framed);
+
+  // The decoded response carries every counter and power field.
+  wire::Frame frame;
+  std::size_t consumed = 0;
+  const std::string_view frames = std::string_view(in_place).substr(6);
+  ASSERT_EQ(wire::try_decode(frames, frame, consumed), wire::DecodeStatus::kOk);
+  ASSERT_EQ(wire::try_decode(frames.substr(consumed), frame, consumed),
+            wire::DecodeStatus::kOk);
+  EXPECT_EQ(frame.type, wire::FrameType::kEvalResponse);
+  EvalResponse decoded;
+  ASSERT_TRUE(wire::decode_response(frame.payload, decoded));
+  EXPECT_EQ(std::memcmp(&decoded.run.core, &response.run.core,
+                        sizeof(response.run.core)),
+            0);
+  EXPECT_EQ(std::memcmp(&decoded.run.mem, &response.run.mem,
+                        sizeof(response.run.mem)),
+            0);
+  EXPECT_EQ(std::memcmp(&decoded.run.power, &response.run.power,
+                        sizeof(response.run.power)),
+            0);
+}
+
 // --- wire protocol: fuzzing -------------------------------------------------
 
 TEST(Wire, TruncatedFramesWantMoreBytesNeverCrash) {
@@ -128,30 +248,43 @@ TEST(Wire, TruncatedFramesWantMoreBytesNeverCrash) {
 }
 
 TEST(Wire, BitFlippedFramesRejectCleanly) {
-  const std::string pristine = wire::encode_frame(
+  const std::string request_frame = wire::encode_frame(
       wire::FrameType::kEvalRequest, 9,
       wire::encode_request(stream_request()));
-  // Flip one bit at a time across the whole frame: every corruption must be
-  // detected (magic/version/length checks or the checksum trailer) — none
-  // may decode as a valid frame.
-  for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
-    std::string corrupt = pristine;
-    corrupt[byte] = static_cast<char>(corrupt[byte] ^ 0x10);
-    wire::Frame frame;
-    std::size_t consumed = 0;
-    const wire::DecodeStatus status =
-        wire::try_decode(corrupt, frame, consumed);
-    EXPECT_NE(status, wire::DecodeStatus::kOk) << "flipped byte " << byte;
-    // kNeedMore is reachable (a flipped length byte can claim a longer
-    // frame), but only for flips inside the length field — and the stream
-    // then dies on checksum once the claimed bytes "arrive". Simulate that:
-    if (status == wire::DecodeStatus::kNeedMore) {
-      std::string extended = corrupt + std::string(1 << 16, '\0');
-      const wire::DecodeStatus later =
-          wire::try_decode(extended, frame, consumed);
-      EXPECT_TRUE(later == wire::DecodeStatus::kBadChecksum ||
-                  later == wire::DecodeStatus::kNeedMore)
-          << "flipped byte " << byte;
+  const std::string response_frame = wire::encode_frame(
+      wire::FrameType::kEvalResponse, 9,
+      wire::encode_response(sample_response()));
+  // Flip every bit of every byte, one at a time, in a request and in a
+  // response frame: every corruption must be detected (magic/version/length
+  // checks or the checksum trailer) — none may decode as a valid frame.
+  for (const std::string& pristine : {request_frame, response_frame}) {
+    for (std::size_t byte = 0; byte < pristine.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string corrupt = pristine;
+        corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
+        wire::Frame frame;
+        std::size_t consumed = 0;
+        const wire::DecodeStatus status =
+            wire::try_decode(corrupt, frame, consumed);
+        ASSERT_NE(status, wire::DecodeStatus::kOk)
+            << "frame of " << pristine.size() << " bytes, flipped byte "
+            << byte << " bit " << bit;
+        // kNeedMore is reachable (a flipped length bit can claim a longer
+        // frame), but only for flips inside the length field — and the
+        // stream then dies on checksum once the claimed bytes "arrive".
+        // Simulate that:
+        if (status == wire::DecodeStatus::kNeedMore) {
+          EXPECT_TRUE(byte >= 20 && byte < wire::kHeaderBytes)
+              << "flipped byte " << byte << " bit " << bit;
+          std::string extended = corrupt + std::string(1 << 20, '\0');
+          const wire::DecodeStatus later =
+              wire::try_decode(extended, frame, consumed);
+          EXPECT_TRUE(later == wire::DecodeStatus::kBadChecksum ||
+                      later == wire::DecodeStatus::kBadLength)
+              << "flipped byte " << byte << " bit " << bit << ": "
+              << wire::decode_status_name(later);
+        }
+      }
     }
   }
 }
@@ -180,64 +313,77 @@ TEST(Wire, WrongVersionRejectedBeforeAnythingElse) {
             EvalStatus::kVersionMismatch);
 }
 
-TEST(Wire, VersionOneFrameIsAVersionMismatch) {
-  // A version-1 peer: its frames carry version 1 and the byte-wise FNV-1a
-  // trailer. The version field is checked first, so the frame is refused as
-  // kBadVersion, and a client talking to such a server reports
+TEST(Wire, OlderVersionFramesAreAVersionMismatch) {
+  // Peers of versions 1 and 2: their frames carry their version and their
+  // own trailer — byte-wise FNV-1a for version 1, the one-lane word hash
+  // for version 2. The version field is checked first, so each frame is
+  // refused as kBadVersion, and a client talking to such a server reports
   // kVersionMismatch rather than a checksum failure.
-  std::string v1 = wire::encode_frame(
+  const std::string current = wire::encode_frame(
       wire::FrameType::kEvalResponse, 1,
-      wire::encode_response(EvalResponse{}));
-  const std::uint32_t one = 1;
-  std::memcpy(v1.data() + 4, &one, sizeof(one));
-  const std::size_t body = v1.size() - wire::kTrailerBytes;
-  const std::uint64_t v1_checksum = hash::fnv1a_bytes(v1.data(), body);
-  std::memcpy(v1.data() + body, &v1_checksum, sizeof(v1_checksum));
-  wire::Frame frame;
-  std::size_t consumed = 0;
-  EXPECT_EQ(wire::try_decode(v1, frame, consumed),
-            wire::DecodeStatus::kBadVersion);
-  EXPECT_EQ(consumed, 0u);
+      wire::encode_response(sample_response()));
+  const std::size_t body = current.size() - wire::kTrailerBytes;
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::string old = current;
+    std::memcpy(old.data() + 4, &version, sizeof(version));
+    const std::uint64_t trailer = version == 1
+                                      ? hash::fnv1a_bytes(old.data(), body)
+                                      : one_lane_word_hash(old.data(), body);
+    std::memcpy(old.data() + body, &trailer, sizeof(trailer));
+    // The old trailer is not this version's: with the version field put
+    // back, the frame fails its checksum.
+    std::string relabelled = old;
+    std::memcpy(relabelled.data() + 4, &wire::kVersion,
+                sizeof(wire::kVersion));
+    wire::Frame frame;
+    std::size_t consumed = 0;
+    EXPECT_EQ(wire::try_decode(relabelled, frame, consumed),
+              wire::DecodeStatus::kBadChecksum)
+        << "version " << version;
+    EXPECT_EQ(wire::try_decode(old, frame, consumed),
+              wire::DecodeStatus::kBadVersion)
+        << "version " << version;
+    EXPECT_EQ(consumed, 0u);
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "adse_serve_v1_peer";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "v1.sock").string();
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  // The fake server answers the first request bytes with the v1 frame.
-  std::thread server([listener, &v1] {
-    const int fd = ::accept(listener, nullptr, nullptr);
-    if (fd < 0) return;
-    char chunk[4096];
-    if (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
-      send_all(fd, v1.data(), v1.size());
-    }
-    ::shutdown(fd, SHUT_WR);
-    while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
-    }
-    ::close(fd);
-  });
-  ClientOptions options;
-  options.socket_path = path;
-  options.timeout_ms = 60000;
-  options.max_retries = 0;
-  {
+    // The fake server answers the first request bytes with the old frame.
+    FakeServer server("v" + std::to_string(version) + "_peer",
+                      [&old](int fd) {
+                        send_all(fd, old.data(), old.size());
+                        ::shutdown(fd, SHUT_WR);
+                      });
+    ASSERT_TRUE(server.bound());
+    ClientOptions options;
+    options.socket_path = server.path();
+    options.timeout_ms = 60000;
+    options.max_retries = 0;
     EvalClient client(options);
     const std::vector<EvalRequest> one_request = {stream_request()};
     EXPECT_EQ(client.evaluate(one_request).front().status,
-              EvalStatus::kVersionMismatch);
+              EvalStatus::kVersionMismatch)
+        << "version " << version;
   }
-  server.join();
-  ::close(listener);
-  std::filesystem::remove_all(dir);
+}
+
+TEST(Client, SilentServerTimesOut) {
+  // The server reads the request and never answers: with timeout_ms = 200
+  // and no retries, the client gives up with kTimeout, well within 5 s and
+  // not before the deadline.
+  FakeServer server("silent", [](int) {});
+  ASSERT_TRUE(server.bound());
+  ClientOptions options;
+  options.socket_path = server.path();
+  options.timeout_ms = 200;
+  options.max_retries = 0;
+  const auto started = std::chrono::steady_clock::now();
+  {
+    EvalClient client(options);
+    const std::vector<EvalRequest> one_request = {stream_request()};
+    const EvalResponse response = client.evaluate(one_request).front();
+    EXPECT_EQ(response.status, EvalStatus::kTimeout) << response.error;
+  }  // the client closes its connection, so the fake server's read ends
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(200));
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 TEST(Wire, RandomPayloadsNeverCrashDecoders) {
@@ -281,6 +427,31 @@ TEST(Wire, NonFiniteOrOutOfRangeFeaturesAreRejected) {
     EXPECT_FALSE(wire::decode_request(payload, decoded)) << bad;
   }
   ASSERT_TRUE(wire::decode_request(good, decoded));
+}
+
+TEST(Wire, DecodedShardHashIsTheRequestShardHash) {
+  // The daemon shards on the hash decode_request computes from the feature
+  // bits it has read; it must be request_shard_hash of the decoded request
+  // (and of the request that was sent) for any valid design.
+  const config::ParameterSpace space;
+  Rng rng(20261020);
+  for (int iter = 0; iter < 256; ++iter) {
+    EvalRequest request;
+    request.config = iter % 2 == 0
+                         ? space.sample(rng)
+                         : space.mutate(space.sample(rng), rng, 0.3);
+    request.config.name = "fuzz-" + std::to_string(iter);
+    request.app = static_cast<kernels::App>(
+        rng.index(static_cast<std::size_t>(kernels::kNumApps)));
+    request.allow_surrogate = rng.index(2) == 1;
+    EvalRequest decoded;
+    std::uint64_t shard = 0;
+    ASSERT_TRUE(wire::decode_request(wire::encode_request(request), decoded,
+                                     &shard))
+        << iter;
+    EXPECT_EQ(shard, wire::request_shard_hash(decoded)) << iter;
+    EXPECT_EQ(shard, wire::request_shard_hash(request)) << iter;
+  }
 }
 
 TEST(Wire, IdenticalConfigsShardIdentically) {
