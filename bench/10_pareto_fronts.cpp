@@ -122,16 +122,9 @@ AppOutcome explore(kernels::App app, int budget) {
   out.min_cycles = pooled[argmin_dim(pooled_pts, 0)];
   out.min_energy = pooled[argmin_dim(pooled_pts, 1)];
 
-  // The guided journal's hypervolume column (vs its own frozen reference):
-  // reload from disk like bench/97, so a fully warm resume (no rounds run
-  // this invocation) still reports the recorded curve.
-  const dse::SearchResult& g = out.guided;
-  if (!g.journal.rounds.empty()) {
-    for (const auto& r : g.journal.rounds) out.journal_hv.push_back(r.hypervolume);
-  } else if (!g.journal_file.empty() && file_exists(g.journal_file)) {
-    for (const auto& r : dse::load_journal(g.journal_file).rounds) {
-      out.journal_hv.push_back(r.hypervolume);
-    }
+  // The guided journal's hypervolume column (vs its own frozen reference).
+  for (const auto& r : out.guided.journal.rounds) {
+    out.journal_hv.push_back(r.hypervolume);
   }
 
   // Front CSV: the non-dominated configurations with their objectives.

@@ -1,7 +1,7 @@
 #pragma once
 /// \file bench_util.hpp
 /// Shared plumbing for the per-table/per-figure harness binaries: the
-/// process-wide evaluation service, cached campaign loading and the
+/// process-wide evaluation service, the paper's campaigns and the
 /// "[shape-check]" reporting convention. Absolute cycle counts cannot match
 /// the paper's testbed, so every bench asserts the *shape* of its result
 /// (who wins, where the knee is, orderings) and prints PASS/FAIL lines that
@@ -21,15 +21,15 @@ namespace adse::bench {
 /// — so re-running a bench reuses every simulation a previous run paid for.
 inline eval::EvalService& evaluator() { return eval::EvalService::shared(); }
 
-/// Loads (or builds + caches) the main campaign.
+/// Runs the main campaign (served from the result store once warm).
 inline campaign::CampaignResult main_campaign() {
-  return campaign::load_or_run(campaign::main_campaign_spec(), evaluator());
+  return campaign::run_campaign(campaign::main_campaign_spec(), evaluator());
 }
 
-/// Loads (or builds + caches) a VL-pinned campaign (Figs. 4/5).
+/// Runs a VL-pinned campaign (Figs. 4/5).
 inline campaign::CampaignResult pinned_campaign(int vl) {
-  return campaign::load_or_run(campaign::constrained_campaign_spec(vl),
-                               evaluator());
+  return campaign::run_campaign(campaign::constrained_campaign_spec(vl),
+                                evaluator());
 }
 
 /// Prints the service's cache decomposition (the "[eval] ..." line is the

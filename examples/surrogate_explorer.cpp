@@ -31,7 +31,7 @@ int main() {
   spec.seed = campaign_seed();
   std::printf("Collecting a %d-configuration campaign (T1/T2)...\n",
               spec.num_configs);
-  const auto data = campaign::load_or_run(spec, service);
+  const auto data = campaign::run_campaign(spec, service);
 
   std::printf("\nTraining one decision-tree surrogate per application "
               "(T3, §V-C)...\n\n");

@@ -15,7 +15,7 @@
 ///   * `analyze(summary, config)` — per-candidate evaluation in O(1): no
 ///     trace decode, no per-op loop, just arithmetic against the summary.
 ///
-/// Consumers: `check::reference_replay` (the Oracle's bounds ARE these
+/// Consumers: `check::oracle_from` (the Oracle's bounds ARE these
 /// features — one implementation, differentially tested), and the fused
 /// surrogate (`eval::FusedModel`), which predicts cycles as
 /// `min_cycles x exp(learned residual)`.

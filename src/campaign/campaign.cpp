@@ -1,6 +1,5 @@
 #include "campaign/campaign.hpp"
 
-#include <filesystem>
 #include <mutex>
 
 #include "common/env.hpp"
@@ -32,6 +31,30 @@ std::string energy_column(kernels::App app) {
 }
 
 std::string area_column() { return "area_mm2"; }
+
+namespace {
+
+/// Splits the assembled table into one dataset per application.
+CampaignResult result_from_table(CsvTable table) {
+  CampaignResult result;
+  const auto names = feature_names();
+  for (kernels::App app : kernels::all_apps()) {
+    const std::size_t col = table.column_index(cycles_column(app));
+    ml::Dataset& ds = result.per_app[static_cast<std::size_t>(app)];
+    ds.feature_names = names;
+    for (const auto& row : table.rows) {
+      std::vector<double> features(row.begin(),
+                                   row.begin() + static_cast<std::ptrdiff_t>(
+                                                     names.size()));
+      ds.add_row(std::move(features), row[col]);
+    }
+    ds.check();
+  }
+  result.table = std::move(table);
+  return result;
+}
+
+}  // namespace
 
 CampaignResult run_campaign(const CampaignSpec& spec,
                             eval::EvalService& service) {
@@ -118,113 +141,16 @@ CampaignResult run_campaign(const CampaignSpec& spec,
   return result_from_table(std::move(table));
 }
 
-namespace {
-
-/// Applies the spec's thread policy: 0 = shared env-default service (memo +
-/// store reuse across runs), positive = private hermetic service.
-CampaignResult run_with_policy(
-    const CampaignSpec& spec,
-    CampaignResult (*run)(const CampaignSpec&, eval::EvalService&)) {
+CampaignResult run_campaign(const CampaignSpec& spec) {
+  // 0 threads = the shared env-default service (memo + store reuse across
+  // runs); a positive count = a private hermetic service.
   if (spec.threads > 0) {
     eval::ServiceConfig options;
     options.threads = spec.threads;
     eval::EvalService service(options);
-    return run(spec, service);
+    return run_campaign(spec, service);
   }
-  return run(spec, eval::EvalService::shared());
-}
-
-}  // namespace
-
-CampaignResult run_campaign(const CampaignSpec& spec) {
-  return run_with_policy(spec, &run_campaign);
-}
-
-CampaignResult load_or_run(const CampaignSpec& spec) {
-  return run_with_policy(spec, &load_or_run);
-}
-
-CampaignResult result_from_table(CsvTable table) {
-  CampaignResult result;
-  const auto names = feature_names();
-  ADSE_REQUIRE_MSG(
-      table.columns.size() ==
-          names.size() + 2 * static_cast<std::size_t>(kernels::kNumApps) + 1,
-      "unexpected campaign CSV schema (" << table.columns.size()
-                                         << " columns)");
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    ADSE_REQUIRE_MSG(table.columns[i] == names[i],
-                     "campaign CSV column '" << table.columns[i]
-                                             << "' != expected '" << names[i]
-                                             << "'");
-  }
-
-  for (kernels::App app : kernels::all_apps()) {
-    const std::size_t col = table.column_index(cycles_column(app));
-    ml::Dataset& ds = result.per_app[static_cast<std::size_t>(app)];
-    ds.feature_names = names;
-    for (const auto& row : table.rows) {
-      std::vector<double> features(row.begin(),
-                                   row.begin() + static_cast<std::ptrdiff_t>(
-                                                     names.size()));
-      ds.add_row(std::move(features), row[col]);
-    }
-    ds.check();
-  }
-  result.table = std::move(table);
-  return result;
-}
-
-std::string cache_path(const CampaignSpec& spec) {
-  std::string name = "campaign_" + spec.label + "_n" +
-                     std::to_string(spec.num_configs) + "_s" +
-                     std::to_string(spec.seed);
-  if (spec.fixed_vector_length) {
-    name += "_vl" + std::to_string(*spec.fixed_vector_length);
-  }
-  // Tables containing surrogate-predicted cycles live in their own cache
-  // namespace — an all-sim caller must never load one by key collision.
-  if (spec.fused != nullptr) name += "_fused";
-  return cache_dir() + "/" + name + ".csv";
-}
-
-CampaignResult load_or_run(const CampaignSpec& spec,
-                           eval::EvalService& service) {
-  const std::string path = cache_path(spec);
-  if (file_exists(path)) {
-    if (spec.verbose) {
-      obs::logf(obs::LogLevel::kInfo, "[campaign %s] loading cached dataset %s\n",
-                spec.label.c_str(), path.c_str());
-    }
-    // A cache written by an older build (different schema) or a row count
-    // that no longer matches the spec must not abort the run: warn, drop the
-    // stale file and rebuild.
-    try {
-      CampaignResult cached = result_from_table(read_csv(path));
-      ADSE_REQUIRE_MSG(cached.table.num_rows() ==
-                           static_cast<std::size_t>(spec.num_configs),
-                       "cached campaign has " << cached.table.num_rows()
-                                              << " rows, spec wants "
-                                              << spec.num_configs);
-      return cached;
-    } catch (const std::exception& e) {
-      obs::logf(obs::LogLevel::kWarn,
-                "[campaign %s] stale cache %s (%s); rebuilding\n",
-                spec.label.c_str(), path.c_str(), e.what());
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
-    }
-  }
-  CampaignResult result = run_campaign(spec, service);
-  std::filesystem::create_directories(cache_dir());
-  // Atomic publish: a killed run or a concurrently started bench binary must
-  // never leave (or read) a truncated cache.
-  write_csv_atomic(path, result.table);
-  if (spec.verbose) {
-    obs::logf(obs::LogLevel::kInfo, "[campaign %s] cached dataset at %s\n",
-              spec.label.c_str(), path.c_str());
-  }
-  return result;
+  return run_campaign(spec, eval::EvalService::shared());
 }
 
 CampaignSpec main_campaign_spec() {

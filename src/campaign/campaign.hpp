@@ -5,8 +5,10 @@
 /// collect one dataset row per (configuration, application). Sampling and
 /// row assembly live here; all simulation dispatch — thread pool, trace
 /// cache, result memo/store — is delegated to `eval::EvalService`, so a
-/// campaign is just a deterministic batch of `EvalRequest`s and re-running
-/// one against a warm service costs no fresh simulator invocations.
+/// campaign is just a deterministic batch of `EvalRequest`s. Nothing is
+/// cached here: re-running a campaign replays the same requests, and a
+/// service whose result store already holds them answers without a fresh
+/// simulator invocation.
 
 #include <array>
 #include <optional>
@@ -26,7 +28,7 @@ class FusedModel;
 namespace adse::campaign {
 
 struct CampaignSpec {
-  std::string label = "main";       ///< cache key component
+  std::string label = "main";       ///< tag of its log lines and trace spans
   int num_configs = 1500;            ///< configurations to sample
   std::uint64_t seed = 42;          ///< sampling seed
   std::optional<int> fixed_vector_length;  ///< Fig. 4/5 pinned-VL campaigns
@@ -41,9 +43,8 @@ struct CampaignSpec {
   /// trains online on the campaign's own real-sim results and answers the
   /// low-uncertainty remainder analytically. The model outlives the spec
   /// (not owned); with its threshold at 0 the campaign is bit-identical to
-  /// the plain all-sim path. Fused campaigns are excluded from the CSV
-  /// cache's plain namespace (the cache key grows a "_fused" suffix):
-  /// surrogate-predicted cycles must never be served to an all-sim caller.
+  /// the plain all-sim path. Only real simulations reach the result store,
+  /// so surrogate-predicted cycles are never served to an all-sim caller.
   eval::FusedModel* fused = nullptr;
 };
 
@@ -70,7 +71,7 @@ std::string energy_column(kernels::App app);
 /// CSV column carrying the configuration's static area ("area_mm2").
 std::string area_column();
 
-/// Runs the campaign now (no CSV cache) through `service`.
+/// Runs the campaign through `service`.
 CampaignResult run_campaign(const CampaignSpec& spec,
                             eval::EvalService& service);
 
@@ -78,20 +79,8 @@ CampaignResult run_campaign(const CampaignSpec& spec,
 /// CampaignSpec::threads).
 CampaignResult run_campaign(const CampaignSpec& spec);
 
-/// Loads the campaign from the CSV cache (ADSE_CACHE_DIR) or runs and caches
-/// it. The cache key includes label, size, seed and any VL pin.
-CampaignResult load_or_run(const CampaignSpec& spec,
-                           eval::EvalService& service);
-CampaignResult load_or_run(const CampaignSpec& spec);
-
-/// Path the spec caches to (for tooling/tests).
-std::string cache_path(const CampaignSpec& spec);
-
 /// Specs used by the benchmark suite, honouring the ADSE_* env knobs.
 CampaignSpec main_campaign_spec();
 CampaignSpec constrained_campaign_spec(int vector_length_bits);
-
-/// Rebuilds per-app datasets from a loaded CSV table.
-CampaignResult result_from_table(CsvTable table);
 
 }  // namespace adse::campaign

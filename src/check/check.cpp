@@ -23,11 +23,6 @@ Oracle oracle_from(const analysis::TraceSummary& summary,
   return oracle;
 }
 
-Oracle reference_replay(const isa::Program& program,
-                        const config::CpuConfig& config) {
-  return oracle_from(analysis::summarize_trace(program), config);
-}
-
 std::vector<std::string> verify_run(const config::CpuConfig& config,
                                     const sim::Trace& trace,
                                     const sim::RunResult& result) {

@@ -57,15 +57,11 @@ struct Oracle {
   std::uint64_t max_cycles = 0;
 };
 
-/// Replays `program` through the in-order scalar reference model under
-/// `config` and returns the oracle facts. Pure function of its inputs.
-/// A thin consumer of the shared analytical extractor: one
-/// analysis::summarize_trace pass plus an O(1) analysis::analyze call.
-Oracle reference_replay(const isa::Program& program,
-                        const config::CpuConfig& config);
-
-/// The config-dependent half of reference_replay for callers that already
-/// hold a TraceSummary (the fuzzer probing many configs against one trace).
+/// The oracle facts of the in-order scalar reference model under `config`,
+/// priced from a trace's summary (`analysis::summarize_trace`, or a trace
+/// artifact's `summary()`): an O(1) analysis::analyze call, so a caller
+/// probing many configs against one trace summarises it once. Pure
+/// function of its inputs.
 Oracle oracle_from(const analysis::TraceSummary& summary,
                    const config::CpuConfig& config);
 

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <filesystem>
 #include <limits>
 
 #include "campaign/campaign.hpp"
-#include "common/env.hpp"
 #include "common/require.hpp"
 #include "common/stats.hpp"
 #include "common/stopwatch.hpp"
@@ -75,19 +73,19 @@ std::vector<EvaluatedConfig> evaluate_batch(
   return out;
 }
 
-/// Maps an objective value into the surrogate's target space.
-double to_model_space(const SearchOptions& options, double objective) {
-  if (!options.log_objective) return objective;
+/// Maps an objective value into the surrogate's target space: the log.
+/// Cycle counts span orders of magnitude across the space, so a raw-space
+/// forest's error on slow configurations would swamp the differences that
+/// matter near the optimum; the log equalises relative error.
+double to_model_space(double objective) {
   ADSE_REQUIRE_MSG(objective > 0.0,
-                   "log_objective requires a strictly positive objective");
+                   "the surrogate needs a strictly positive objective");
   return std::log(objective);
 }
 
 /// Inverse of to_model_space: maps a surrogate-space value back to the
 /// objective's natural units (where hypervolume is computed).
-double from_model_space(const SearchOptions& options, double value) {
-  return options.log_objective ? std::exp(value) : value;
-}
+double from_model_space(double value) { return std::exp(value); }
 
 bool multi_objective(const SearchOptions& options) {
   return options.objective == Objective::kCyclesEnergyArea;
@@ -106,7 +104,7 @@ std::vector<std::vector<double>> ppa_rows(
 /// padded by 20%. Freezing it after the seed batch (instead of tracking the
 /// running maximum) keeps the journal's hypervolume column monotone and
 /// comparable across rounds; later points beyond the reference simply clip
-/// to zero contribution. Deterministic on resume because the prefix is.
+/// to zero contribution.
 std::vector<double> hv_reference_of(const SearchOptions& options,
                                     const std::vector<EvaluatedConfig>& evaluated) {
   const std::size_t n =
@@ -134,14 +132,13 @@ double journal_hypervolume(const SearchOptions& options,
   return hypervolume(ppa_rows(evaluated, options.app), reference);
 }
 
-ml::Dataset dataset_of(const SearchOptions& options,
-                       const std::vector<EvaluatedConfig>& evaluated) {
+ml::Dataset dataset_of(const std::vector<EvaluatedConfig>& evaluated) {
   ml::Dataset data;
   data.feature_names = campaign::feature_names();
   for (const EvaluatedConfig& e : evaluated) {
     const auto features = config::feature_vector(e.config);
     data.add_row({features.begin(), features.end()},
-                 to_model_space(options, e.objective_value));
+                 to_model_space(e.objective_value));
   }
   return data;
 }
@@ -157,8 +154,7 @@ ml::Dataset energy_dataset_of(const SearchOptions& options,
     const auto features = config::feature_vector(e.config);
     data.add_row(
         {features.begin(), features.end()},
-        to_model_space(options,
-                       e.energy_j[static_cast<std::size_t>(options.app)]));
+        to_model_space(e.energy_j[static_cast<std::size_t>(options.app)]));
   }
   return data;
 }
@@ -188,94 +184,23 @@ double best_objective(const std::vector<EvaluatedConfig>& evaluated) {
   return best;
 }
 
-CsvTable evaluations_table(const std::vector<EvaluatedConfig>& evaluated) {
-  CsvTable table;
-  table.columns = campaign::feature_names();
-  for (kernels::App app : kernels::all_apps()) {
-    table.columns.push_back(campaign::cycles_column(app));
-  }
-  for (kernels::App app : kernels::all_apps()) {
-    table.columns.push_back(campaign::energy_column(app));
-  }
-  table.columns.push_back(campaign::area_column());
-  table.columns.push_back("objective");
-  for (const EvaluatedConfig& e : evaluated) {
-    const auto features = config::feature_vector(e.config);
-    std::vector<double> row(features.begin(), features.end());
-    for (double c : e.cycles) row.push_back(c);
-    for (double j : e.energy_j) row.push_back(j);
-    row.push_back(e.area_mm2);
-    row.push_back(e.objective_value);
-    table.rows.push_back(std::move(row));
-  }
-  return table;
+/// Publishes the journal (atomically, so it is readable while the search
+/// runs); a no-op for in-memory searches.
+void persist_journal(const SearchOptions& options, const Journal& journal) {
+  if (options.persist) write_journal(journal_path(options.label), journal);
 }
 
-std::vector<EvaluatedConfig> evaluations_from_table(const CsvTable& table) {
-  const auto names = campaign::feature_names();
-  const auto num_apps = static_cast<std::size_t>(kernels::kNumApps);
-  const std::size_t expected_cols = names.size() + 2 * num_apps + 2;
-  ADSE_REQUIRE_MSG(table.num_cols() == expected_cols,
-                   "unexpected DSE state schema (" << table.num_cols()
-                                                   << " columns)");
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    ADSE_REQUIRE_MSG(table.columns[i] == names[i],
-                     "DSE state column '" << table.columns[i]
-                                          << "' != expected '" << names[i]
-                                          << "'");
-  }
-  std::vector<EvaluatedConfig> out;
-  out.reserve(table.num_rows());
-  for (const auto& row : table.rows) {
-    std::array<double, config::kNumParams> features{};
-    std::copy_n(row.begin(), config::kNumParams, features.begin());
-    EvaluatedConfig e;
-    e.config = config::config_from_features(features);
-    config::validate(e.config);
-    for (std::size_t a = 0; a < num_apps; ++a) {
-      e.cycles[a] = row[config::kNumParams + a];
-      e.energy_j[a] = row[config::kNumParams + num_apps + a];
-    }
-    e.area_mm2 = row[config::kNumParams + 2 * num_apps];
-    e.objective_value = row.back();
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-void persist_state(const SearchOptions& options,
-                   const std::vector<EvaluatedConfig>& evaluated,
-                   const Journal& journal) {
-  if (!options.persist) return;
-  std::filesystem::create_directories(cache_dir());
-  write_csv_atomic(evaluations_path(options.label),
-                   evaluations_table(evaluated));
-  write_journal(journal_path(options.label), journal);
-}
-
-/// Resumes evaluated state from a previous run of the same label; a stale or
-/// corrupt state file is dropped with a warning (same policy as the campaign
-/// cache).
-std::vector<EvaluatedConfig> load_state(const SearchOptions& options) {
-  if (!options.persist) return {};
-  const std::string path = evaluations_path(options.label);
-  if (!file_exists(path)) return {};
-  try {
-    auto evaluated = evaluations_from_table(read_csv(path));
-    if (options.verbose) {
-      obs::logf(obs::LogLevel::kInfo,
-                "[dse %s] resuming from %zu evaluations in %s\n",
-                options.label.c_str(), evaluated.size(), path.c_str());
-    }
-    return evaluated;
-  } catch (const std::exception& e) {
-    obs::logf(obs::LogLevel::kWarn, "[dse %s] stale state %s (%s); starting fresh\n",
-              options.label.c_str(), path.c_str(), e.what());
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    std::filesystem::remove(journal_path(options.label), ec);
-    return {};
-  }
+/// Marks the best evaluation and names the journal a persisted run wrote.
+void finish(const SearchOptions& options, SearchResult& result) {
+  ADSE_REQUIRE_MSG(!result.evaluated.empty(), "search evaluated nothing");
+  const auto best = std::min_element(
+      result.evaluated.begin(), result.evaluated.end(),
+      [](const EvaluatedConfig& a, const EvaluatedConfig& b) {
+        return a.objective_value < b.objective_value;
+      });
+  result.best_index =
+      static_cast<std::size_t>(best - result.evaluated.begin());
+  if (options.persist) result.journal_file = journal_path(options.label);
 }
 
 void check_options(const SearchOptions& options) {
@@ -414,10 +339,6 @@ std::vector<std::size_t> SearchResult::pareto_ppa(kernels::App app) const {
   return pareto_front(points);
 }
 
-std::string evaluations_path(const std::string& label) {
-  return cache_dir() + "/dse_" + label + "_evals.csv";
-}
-
 SearchResult search(const SearchOptions& options, eval::EvalService& service) {
   check_options(options);
   const config::ParameterSpace space;
@@ -427,12 +348,7 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
   Rng rng(options.seed);
 
   SearchResult result;
-  result.evaluated = load_state(options);
-  if (static_cast<int>(result.evaluated.size()) > options.max_simulations) {
-    result.evaluated.resize(static_cast<std::size_t>(options.max_simulations));
-  }
   SeenSet simulated;
-  for (const EvaluatedConfig& e : result.evaluated) simulated.insert(e.config);
 
   const bool multi = multi_objective(options);
   ml::RandomForestRegressor surrogate(options.forest);
@@ -440,12 +356,9 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
   // needs no model — it is an exact function of the configuration.
   ml::RandomForestRegressor energy_surrogate(options.forest);
   auto refit = [&]() {
-    surrogate.fit(dataset_of(options, result.evaluated));
+    surrogate.fit(dataset_of(result.evaluated));
     if (multi) {
       energy_surrogate.fit(energy_dataset_of(options, result.evaluated));
-      if (result.hv_reference.empty()) {
-        result.hv_reference = hv_reference_of(options, result.evaluated);
-      }
     }
   };
   int round = 0;
@@ -456,30 +369,21 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
   };
 
   // Round 0: the uniform batch that seeds the surrogate.
-  if (budget_left() > 0 &&
-      static_cast<int>(result.evaluated.size()) < options.initial_samples) {
+  {
     obs::Span span("dse.round", "dse");
     span.set_detail([&] { return options.label + " #0 (seed batch)"; });
-    const int want =
-        std::min(options.initial_samples -
-                     static_cast<int>(result.evaluated.size()),
-                 budget_left());
-    const auto batch =
-        distinct_uniform(space, want, simulated, rng, constraints);
-    auto evaluated =
-        evaluate_batch(options, batch, service, result.evaluated.size());
-    result.evaluated.insert(result.evaluated.end(),
-                            std::make_move_iterator(evaluated.begin()),
-                            std::make_move_iterator(evaluated.end()));
+    const auto batch = distinct_uniform(
+        space, std::min(options.initial_samples, options.max_simulations),
+        simulated, rng, constraints);
+    result.evaluated = evaluate_batch(options, batch, service, 0);
+    if (multi) result.hv_reference = hv_reference_of(options, result.evaluated);
     refit();
     result.journal.rounds.push_back(make_record(
         round, result.evaluated, static_cast<int>(batch.size()),
         surrogate.oob_mae(), 0.0, round_watch.seconds(),
         journal_hypervolume(options, result.evaluated, result.hv_reference)));
     publish_round(result.journal.rounds.back(), batch.size());
-    persist_state(options, result.evaluated, result.journal);
-  } else if (result.evaluated.size() >= 2) {
-    refit();
+    persist_journal(options, result.journal);
   }
 
   while (budget_left() > 0) {
@@ -527,9 +431,8 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
         const auto hvi = [&](double b) {
           auto pts = front;
           pts.push_back(
-              {from_model_space(options, dists[i].mean - b * dists[i].std),
-               from_model_space(options,
-                                energy_dists[i].mean - b * energy_dists[i].std),
+              {from_model_space(dists[i].mean - b * dists[i].std),
+               from_model_space(energy_dists[i].mean - b * energy_dists[i].std),
                areas[i]});
           return hypervolume(pts, result.hv_reference) - base_hv;
         };
@@ -540,7 +443,7 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
       // The incumbent best must live in the same space as the surrogate's
       // predictions for the improvement gap to mean anything.
       const double best =
-          to_model_space(options, best_objective(result.evaluated));
+          to_model_space(best_objective(result.evaluated));
       scores = acquisition_scores(options.acquisition, dists, best);
       for (std::size_t i = 0; i < dists.size(); ++i) greedy[i] = -dists[i].mean;
     }
@@ -569,7 +472,7 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
         surrogate.oob_mae(), entropy, watch.seconds(),
         journal_hypervolume(options, result.evaluated, result.hv_reference)));
     publish_round(result.journal.rounds.back(), batch.size());
-    persist_state(options, result.evaluated, result.journal);
+    persist_journal(options, result.journal);
 
     if (options.verbose) {
       obs::logf(obs::LogLevel::kInfo,
@@ -581,15 +484,7 @@ SearchResult search(const SearchOptions& options, eval::EvalService& service) {
     }
   }
 
-  ADSE_REQUIRE_MSG(!result.evaluated.empty(), "search evaluated nothing");
-  result.best_index = 0;
-  for (std::size_t i = 1; i < result.evaluated.size(); ++i) {
-    if (result.evaluated[i].objective_value <
-        result.evaluated[result.best_index].objective_value) {
-      result.best_index = i;
-    }
-  }
-  if (options.persist) result.journal_file = journal_path(options.label);
+  finish(options, result);
   return result;
 }
 
@@ -603,12 +498,7 @@ SearchResult random_search(const SearchOptions& options,
   Rng rng(options.seed);
 
   SearchResult result;
-  result.evaluated = load_state(options);
-  if (static_cast<int>(result.evaluated.size()) > options.max_simulations) {
-    result.evaluated.resize(static_cast<std::size_t>(options.max_simulations));
-  }
   SeenSet simulated;
-  for (const EvaluatedConfig& e : result.evaluated) simulated.insert(e.config);
 
   const bool multi = multi_objective(options);
   int round = 0;
@@ -640,19 +530,11 @@ SearchResult random_search(const SearchOptions& options,
         watch.seconds(),
         journal_hypervolume(options, result.evaluated, result.hv_reference)));
     publish_round(result.journal.rounds.back(), batch.size());
-    persist_state(options, result.evaluated, result.journal);
+    persist_journal(options, result.journal);
     ++round;
   }
 
-  ADSE_REQUIRE_MSG(!result.evaluated.empty(), "search evaluated nothing");
-  result.best_index = 0;
-  for (std::size_t i = 1; i < result.evaluated.size(); ++i) {
-    if (result.evaluated[i].objective_value <
-        result.evaluated[result.best_index].objective_value) {
-      result.best_index = i;
-    }
-  }
-  if (options.persist) result.journal_file = journal_path(options.label);
+  finish(options, result);
   return result;
 }
 

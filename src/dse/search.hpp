@@ -9,9 +9,12 @@
 /// with an uncertainty-aware acquisition over the forest surrogate's
 /// predictive distribution; (simulate) run only the top-k candidates on the
 /// thread pool; (refit) retrain the surrogate on the grown dataset and
-/// journal the round's telemetry. State (journal + evaluations) is published
-/// atomically under the cache dir after every round, so a search is
-/// introspectable while running and resumable after a kill.
+/// journal the round's telemetry. The journal is published atomically under
+/// the cache dir after every round, so a search is introspectable while
+/// running. The search keeps no other state: it is deterministic, so a
+/// killed or re-budgeted search resumes by running again, and every
+/// simulation the earlier run paid for is a hit in the eval service's
+/// result store.
 
 #include <array>
 #include <cstdint>
@@ -52,7 +55,7 @@ enum class Objective {
 ml::ForestOptions default_surrogate_options();
 
 struct SearchOptions {
-  std::string label = "dse";        ///< journal/state cache key
+  std::string label = "dse";        ///< journal file key
   Objective objective = Objective::kSingleApp;
   kernels::App app = kernels::App::kStream;  ///< target for kSingleApp
 
@@ -71,13 +74,6 @@ struct SearchOptions {
   /// that regime (in [0, 1]; 0 = pure acquisition, 1 = pure greedy).
   double exploit_fraction = 0.5;
 
-  /// Fit the surrogate on log(objective) and run the acquisition in log
-  /// space. Cycle counts span orders of magnitude across the space, so a
-  /// raw-space forest's error on slow configurations swamps the differences
-  /// that matter near the optimum; the log transform equalises relative
-  /// error. Requires a strictly positive objective (cycles always are).
-  bool log_objective = true;
-
   /// Pin the vector length (propagated to sampling and mutation).
   std::optional<int> fixed_vector_length;
 
@@ -87,8 +83,8 @@ struct SearchOptions {
   /// A positive value runs on a private, store-less service (hermetic tests).
   int threads = 0;
   bool verbose = false;
-  /// Publish journal + evaluation state CSVs after every round and resume
-  /// from existing state on start. Off = fully in-memory (tests).
+  /// Publish the journal CSV after every round. Off = fully in-memory
+  /// (tests).
   bool persist = true;
   /// Fused-surrogate routing (DESIGN.md §14): when set, every evaluation
   /// batch goes through `EvalService::evaluate` with `EvalPolicy::fused` —
@@ -163,8 +159,5 @@ SearchResult search(const SearchOptions& options);
 SearchResult random_search(const SearchOptions& options,
                            eval::EvalService& service);
 SearchResult random_search(const SearchOptions& options);
-
-/// State file the search resumes from ("<cache_dir>/dse_<label>_evals.csv").
-std::string evaluations_path(const std::string& label);
 
 }  // namespace adse::dse

@@ -20,7 +20,7 @@ struct RoundRecord {
   int pool_size = 0;         ///< candidates the surrogate scored this round
   double best_objective = 0; ///< best (lowest) objective so far
   /// Forest OOB MAE after the refit, in the surrogate's target space
-  /// (log-cycles when SearchOptions.log_objective is on, raw otherwise).
+  /// (the log of the objective).
   double surrogate_oob_mae = 0;
   double acquisition_entropy = 0;   ///< ranking entropy over the pool (nats)
   double round_seconds = 0;         ///< wall-clock cost of the round

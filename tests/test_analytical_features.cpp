@@ -4,8 +4,9 @@
 /// contracts the Oracle and the fused surrogate both lean on: min_cycles is
 /// the max of the named bounds, the summary answers fetch/line queries for
 /// every loop-buffer and line-width without re-decoding, the extractor
-/// agrees exactly with check::reference_replay on the anchor configs, and
-/// the serial upper bound's memory pricing is pinned to exact values.
+/// agrees exactly with the Oracle (check::oracle_from) on the anchor
+/// configs, and the serial upper bound's memory pricing is pinned to exact
+/// values.
 
 #include "analysis/analytical_features.hpp"
 
@@ -160,7 +161,7 @@ TEST(AnalyticalFeatures, MatchesReferenceReplayOnAnchorConfigs) {
           kernels::build_app(app, cfg.core.vector_length_bits);
       const TraceSummary summary = summarize_trace(trace);
       const AnalyticalFeatures f = analyze(summary, cfg);
-      const check::Oracle oracle = check::reference_replay(trace, cfg);
+      const check::Oracle oracle = check::oracle_from(summary, cfg);
       EXPECT_EQ(f.min_cycles, oracle.min_cycles)
           << cfg.name << "/" << kernels::app_slug(app);
       EXPECT_EQ(f.max_cycles, oracle.max_cycles)

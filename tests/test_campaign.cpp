@@ -5,8 +5,9 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include <unistd.h>
+
 #include "analysis/surrogate_eval.hpp"
-#include "common/require.hpp"
 #include "eval/fused.hpp"
 #include "eval/service.hpp"
 
@@ -61,6 +62,21 @@ TEST(Campaign, RunProducesConsistentDatasets) {
   }
 }
 
+TEST(Campaign, ResultFromTableRoundTrips) {
+  // Each dataset is the table's feature columns against the app's cycles.
+  const CampaignResult result = run_campaign(tiny_spec());
+  for (kernels::App app : kernels::all_apps()) {
+    const auto& ds = result.dataset(app);
+    ASSERT_EQ(ds.num_rows(), result.table.num_rows());
+    EXPECT_EQ(ds.y, result.table.column(cycles_column(app)));
+    for (std::size_t r = 0; r < ds.num_rows(); ++r) {
+      const auto& row = result.table.rows[r];
+      EXPECT_EQ(ds.x[r], std::vector<double>(row.begin(),
+                                             row.begin() + config::kNumParams));
+    }
+  }
+}
+
 TEST(Campaign, RowsAreValidConfigurations) {
   const CampaignResult result = run_campaign(tiny_spec());
   for (const auto& row : result.table.rows) {
@@ -111,10 +127,6 @@ TEST(Campaign, FusedThresholdZeroIsBitIdenticalToAllSim) {
   for (kernels::App app : kernels::all_apps()) {
     EXPECT_EQ(model.observations(app), 0u);
   }
-  // Routed tables still live in their own cache namespace, even at
-  // threshold 0 — an all-sim caller must never load one by key collision.
-  EXPECT_NE(cache_path(fused_spec).find("_fused"), std::string::npos);
-  EXPECT_EQ(cache_path(tiny_spec()).find("_fused"), std::string::npos);
 }
 
 TEST(Campaign, FusedCampaignReDerivesThePaperHeadline) {
@@ -194,106 +206,37 @@ TEST(Campaign, FusedCampaignReDerivesThePaperHeadline) {
   }
 }
 
-TEST(Campaign, ResultFromTableRoundTrips) {
-  const CampaignResult original = run_campaign(tiny_spec());
-  CsvTable copy = original.table;
-  const CampaignResult back = result_from_table(std::move(copy));
+TEST(Campaign, RerunOnASharedStoreRunsNoSimulation) {
+  // The result store is the one campaign cache: a second service on the
+  // same store file replays the campaign's requests as store hits.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adse_campaign_store_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  eval::ServiceConfig config;
+  config.threads = 2;
+  config.store_path = (dir / "eval_store.bin").string();
+  const auto sim_runs = [](eval::EvalService& service) {
+    return service.metrics().counter("eval.sim_runs").value();
+  };
+
+  CampaignSpec spec = tiny_spec();
+  CampaignResult first;
+  {
+    eval::EvalService cold(config);
+    first = run_campaign(spec, cold);
+    EXPECT_EQ(sim_runs(cold),
+              static_cast<std::uint64_t>(spec.num_configs) * kernels::kNumApps);
+  }
+  eval::EvalService warm(config);
+  const CampaignResult second = run_campaign(spec, warm);
+  EXPECT_EQ(sim_runs(warm), 0u);
+  EXPECT_EQ(second.table.columns, first.table.columns);
+  EXPECT_EQ(second.table.rows, first.table.rows);
   for (kernels::App app : kernels::all_apps()) {
-    EXPECT_EQ(back.dataset(app).y, original.dataset(app).y);
-    EXPECT_EQ(back.dataset(app).x, original.dataset(app).x);
+    EXPECT_EQ(second.dataset(app).x, first.dataset(app).x);
+    EXPECT_EQ(second.dataset(app).y, first.dataset(app).y);
   }
-}
 
-TEST(Campaign, ResultFromTableRejectsBadSchema) {
-  CsvTable bad;
-  bad.columns = {"wrong"};
-  EXPECT_THROW(result_from_table(std::move(bad)), InvariantError);
-}
-
-TEST(Campaign, CachePathEncodesSpec) {
-  CampaignSpec spec = tiny_spec();
-  spec.fixed_vector_length = 128;
-  const std::string path = cache_path(spec);
-  EXPECT_NE(path.find("test"), std::string::npos);
-  EXPECT_NE(path.find("n12"), std::string::npos);
-  EXPECT_NE(path.find("s7"), std::string::npos);
-  EXPECT_NE(path.find("vl128"), std::string::npos);
-}
-
-TEST(Campaign, LoadOrRunUsesCache) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_campaign_test";
-  std::filesystem::remove_all(dir);
-  setenv("ADSE_CACHE_DIR", dir.string().c_str(), 1);
-
-  CampaignSpec spec = tiny_spec();
-  spec.num_configs = 10;
-  const CampaignResult first = load_or_run(spec);
-  EXPECT_TRUE(file_exists(cache_path(spec)));
-  const CampaignResult second = load_or_run(spec);  // served from cache
-  EXPECT_EQ(first.table.rows, second.table.rows);
-
-  unsetenv("ADSE_CACHE_DIR");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Campaign, StaleCacheIsDroppedAndRebuilt) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_stale_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  setenv("ADSE_CACHE_DIR", dir.string().c_str(), 1);
-
-  CampaignSpec spec = tiny_spec();
-  spec.num_configs = 8;
-  // A cache written by "an older build": wrong schema entirely.
-  write_csv(cache_path(spec), CsvTable{{"old_col_a", "old_col_b"},
-                                       {{1.0, 2.0}, {3.0, 4.0}}});
-  const CampaignResult result = load_or_run(spec);  // must not throw
-  EXPECT_EQ(result.table.num_rows(), 8u);
-  // The bad file was replaced by a loadable one.
-  const CampaignResult again = load_or_run(spec);
-  EXPECT_EQ(again.table.rows, result.table.rows);
-
-  unsetenv("ADSE_CACHE_DIR");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Campaign, TruncatedCacheIsDroppedAndRebuilt) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_trunc_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  setenv("ADSE_CACHE_DIR", dir.string().c_str(), 1);
-
-  CampaignSpec spec = tiny_spec();
-  spec.num_configs = 8;
-  const CampaignResult full = load_or_run(spec);
-  // Simulate a killed writer from before atomic publication: valid header,
-  // fewer rows than the spec demands.
-  CsvTable truncated = full.table;
-  truncated.rows.resize(3);
-  write_csv(cache_path(spec), truncated);
-  const CampaignResult recovered = load_or_run(spec);
-  EXPECT_EQ(recovered.table.rows, full.table.rows);
-
-  unsetenv("ADSE_CACHE_DIR");
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Campaign, CachePublicationLeavesNoTempFiles) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_tmp_test";
-  std::filesystem::remove_all(dir);
-  setenv("ADSE_CACHE_DIR", dir.string().c_str(), 1);
-
-  CampaignSpec spec = tiny_spec();
-  spec.num_configs = 6;
-  load_or_run(spec);
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    ++files;
-    EXPECT_EQ(entry.path().extension(), ".csv") << entry.path();
-  }
-  EXPECT_EQ(files, 1u);
-
-  unsetenv("ADSE_CACHE_DIR");
   std::filesystem::remove_all(dir);
 }
 

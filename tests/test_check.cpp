@@ -42,7 +42,7 @@ TEST(Oracle, CountsMatchTraceStats) {
     const isa::Program trace =
         kernels::build_app(app, cfg.core.vector_length_bits);
     const isa::TraceStats stats = isa::compute_stats(trace);
-    const Oracle oracle = reference_replay(trace, cfg);
+    const Oracle oracle = oracle_from(analysis::summarize_trace(trace), cfg);
     EXPECT_EQ(oracle.total_ops, stats.total);
     EXPECT_EQ(oracle.sve_ops, stats.sve_ops);
     for (int g = 0; g < isa::kNumInstrGroups; ++g) {
@@ -53,7 +53,8 @@ TEST(Oracle, CountsMatchTraceStats) {
 
 TEST(Oracle, EmptyProgramThrows) {
   const isa::Program empty;
-  EXPECT_THROW(reference_replay(empty, config::thunderx2_baseline()),
+  EXPECT_THROW(oracle_from(analysis::summarize_trace(empty),
+                           config::thunderx2_baseline()),
                InvariantError);
 }
 
@@ -64,9 +65,9 @@ TEST(Oracle, SixIntOpsOnBaseline) {
   // ceil(6/4) = 2, the three mixed ports give ceil(6/3) = 2, fetch needs
   // ceil(24/32) = 1 block — so 2. Upper bound: serial replay charges each op
   // the pipeline overhead plus its 1-cycle latency, then the slack.
-  const Oracle oracle =
-      reference_replay(straight_line(6, isa::InstrGroup::kInt),
-                       config::thunderx2_baseline());
+  const Oracle oracle = oracle_from(
+      analysis::summarize_trace(straight_line(6, isa::InstrGroup::kInt)),
+      config::thunderx2_baseline());
   EXPECT_EQ(oracle.total_ops, 6u);
   EXPECT_EQ(oracle.fetch_bytes, 6u * isa::kInstrBytes);
   EXPECT_EQ(oracle.min_cycles, 2u);
@@ -77,16 +78,16 @@ TEST(Oracle, SixIntOpsOnBaseline) {
 TEST(Oracle, CommitWidthOneForcesOneRetirePerCycle) {
   CpuConfig cfg = config::thunderx2_baseline();
   cfg.core.commit_width = 1;
-  const Oracle oracle =
-      reference_replay(straight_line(6, isa::InstrGroup::kInt), cfg);
+  const Oracle oracle = oracle_from(
+      analysis::summarize_trace(straight_line(6, isa::InstrGroup::kInt)), cfg);
   EXPECT_EQ(oracle.min_cycles, 6u);
 }
 
 TEST(Oracle, FpDivLatencyPricedIntoUpperBound) {
   // kFpDiv has a 16-cycle execution latency.
-  const Oracle oracle =
-      reference_replay(straight_line(2, isa::InstrGroup::kFpDiv),
-                       config::thunderx2_baseline());
+  const Oracle oracle = oracle_from(
+      analysis::summarize_trace(straight_line(2, isa::InstrGroup::kFpDiv)),
+      config::thunderx2_baseline());
   EXPECT_EQ(oracle.max_cycles,
             2u * (kSerialPerOpOverhead + 16) + kSerialSlackCycles);
 }
@@ -98,8 +99,8 @@ TEST(Oracle, StoreSendRateBoundsBelow) {
   for (int i = 0; i < 5; ++i) {
     b.store(0x1000 + 8 * static_cast<std::uint64_t>(i), 8, gp(1), gp(2));
   }
-  const Oracle oracle =
-      reference_replay(b.take(), config::thunderx2_baseline());
+  const Oracle oracle = oracle_from(analysis::summarize_trace(b.take()),
+                                    config::thunderx2_baseline());
   EXPECT_EQ(oracle.min_cycles, 5u);
 }
 
@@ -120,12 +121,12 @@ TEST(Oracle, LoopBufferStreamingExemptsFetchBytes) {
   const isa::Program trace = b.take();
 
   CpuConfig fits = config::thunderx2_baseline();  // loop buffer holds 32
-  EXPECT_EQ(reference_replay(trace, fits).fetch_bytes,
+  EXPECT_EQ(oracle_from(analysis::summarize_trace(trace), fits).fetch_bytes,
             3u * isa::kInstrBytes);
 
   CpuConfig spills = fits;
   spills.core.loop_buffer_size = 2;  // 3-op body cannot stream
-  EXPECT_EQ(reference_replay(trace, spills).fetch_bytes,
+  EXPECT_EQ(oracle_from(analysis::summarize_trace(trace), spills).fetch_bytes,
             9u * isa::kInstrBytes);
 }
 
@@ -137,8 +138,10 @@ TEST(Oracle, LineStraddlingLoadCostsTwoLines) {
   kernels::KernelBuilder straddle("straddle");
   straddle.load(gp(1), 0x103c, 8, gp(2));  // crosses 0x1040
   const CpuConfig cfg = config::thunderx2_baseline();
-  const Oracle one = reference_replay(aligned.take(), cfg);
-  const Oracle two = reference_replay(straddle.take(), cfg);
+  const Oracle one =
+      oracle_from(analysis::summarize_trace(aligned.take()), cfg);
+  const Oracle two =
+      oracle_from(analysis::summarize_trace(straddle.take()), cfg);
   EXPECT_GT(two.max_cycles, one.max_cycles);
   const std::uint64_t line_cost = two.max_cycles - one.max_cycles;
   // ...and that extra line is the full miss path: at least the raw

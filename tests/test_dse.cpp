@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 
+#include <unistd.h>
+
+#include "campaign/campaign.hpp"
+#include "common/env.hpp"
 #include "common/require.hpp"
 #include "dse/pareto.hpp"
+#include "eval/service.hpp"
 
 namespace adse::dse {
 namespace {
@@ -476,54 +481,104 @@ TEST(Search, SingleAppModeRejectsPareto) {
       InvariantError);
 }
 
-TEST(Search, PersistWritesStateAndResumes) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_dse_state";
+std::uint64_t sim_runs(eval::EvalService& service) {
+  return service.metrics().counter("eval.sim_runs").value();
+}
+
+std::filesystem::path unique_temp_dir(const std::string& stem) {
+  return std::filesystem::temp_directory_path() /
+         (stem + "_" + std::to_string(::getpid()));
+}
+
+TEST(Search, WiderBudgetRerunReplaysFromTheStore) {
+  // A search keeps no state of its own: rerunning it with a wider budget
+  // replays the earlier rounds as result-store hits and simulates only the
+  // new work, and the answer is the uninterrupted search's.
+  const auto dir = unique_temp_dir("adse_dse_rerun");
   std::filesystem::remove_all(dir);
-  setenv("ADSE_CACHE_DIR", dir.string().c_str(), 1);
+  eval::ServiceConfig config;
+  config.threads = 2;
+  config.store_path = (dir / "eval_store.bin").string();
 
-  SearchOptions options = smoke_options();
-  options.label = "resume";
-  options.persist = true;
+  SearchOptions options = smoke_options();  // 12 seed sims, rounds of 8
   options.max_simulations = 20;
-  const SearchResult first = search(options);
-  EXPECT_TRUE(file_exists(evaluations_path("resume")));
-  EXPECT_TRUE(file_exists(journal_path("resume")));
-  EXPECT_EQ(first.journal_file, journal_path("resume"));
-  const Journal on_disk = load_journal(first.journal_file);
-  EXPECT_EQ(on_disk.rounds.size(), first.journal.rounds.size());
-
-  // A wider budget resumes from the persisted evaluations: the first 20
-  // evaluations are byte-identical, only the rest is new work.
-  options.max_simulations = 26;
-  const SearchResult second = search(options);
-  ASSERT_EQ(second.evaluated.size(), 26u);
-  for (std::size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(config::feature_vector(second.evaluated[i].config),
-              config::feature_vector(first.evaluated[i].config));
-    EXPECT_DOUBLE_EQ(second.evaluated[i].objective_value,
-                     first.evaluated[i].objective_value);
+  {
+    eval::EvalService first(config);
+    EXPECT_EQ(search(options, first).evaluated.size(), 20u);
+    EXPECT_EQ(sim_runs(first), 20u);
   }
+  options.max_simulations = 26;
+  eval::EvalService second(config);
+  const SearchResult resumed = search(options, second);
+  EXPECT_EQ(sim_runs(second), 6u);
 
-  unsetenv("ADSE_CACHE_DIR");
+  const SearchResult uninterrupted = search(options);  // store-less service
+  ASSERT_EQ(resumed.evaluated.size(), 26u);
+  ASSERT_EQ(uninterrupted.evaluated.size(), 26u);
+  for (std::size_t i = 0; i < 26; ++i) {
+    const EvaluatedConfig& a = resumed.evaluated[i];
+    const EvaluatedConfig& b = uninterrupted.evaluated[i];
+    EXPECT_EQ(config::feature_vector(a.config),
+              config::feature_vector(b.config));
+    EXPECT_EQ(a.cycles, b.cycles) << i;
+    EXPECT_EQ(a.energy_j, b.energy_j) << i;
+    EXPECT_EQ(a.area_mm2, b.area_mm2) << i;
+    EXPECT_EQ(a.objective_value, b.objective_value) << i;
+  }
+  EXPECT_EQ(resumed.best_index, uninterrupted.best_index);
+  // The rerun's journal holds every round, the replayed ones included.
+  ASSERT_EQ(resumed.journal.rounds.size(), 3u);
+  ASSERT_EQ(uninterrupted.journal.rounds.size(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    const RoundRecord& a = resumed.journal.rounds[r];
+    const RoundRecord& b = uninterrupted.journal.rounds[r];
+    EXPECT_EQ(a.round, static_cast<int>(r));
+    EXPECT_EQ(a.round, b.round);
+    EXPECT_EQ(a.sims_total, b.sims_total);
+    EXPECT_EQ(a.pool_size, b.pool_size);
+    EXPECT_EQ(a.best_objective, b.best_objective);
+    EXPECT_EQ(a.surrogate_oob_mae, b.surrogate_oob_mae);
+    EXPECT_EQ(a.acquisition_entropy, b.acquisition_entropy);
+  }
+  EXPECT_EQ(resumed.journal.rounds.back().sims_total, 26);
+
   std::filesystem::remove_all(dir);
 }
 
-TEST(Search, CorruptStateIsDroppedWithFreshStart) {
-  const auto dir = std::filesystem::temp_directory_path() / "adse_dse_corrupt";
+TEST(Search, CacheDirHoldsOnlyTheStoreAndTheJournal) {
+  // Campaigns and searches persist nothing of their own beyond the search
+  // journal: every simulation answer lives in the eval service's store.
+  const auto dir = unique_temp_dir("adse_dse_cache_dir");
   std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
   setenv("ADSE_CACHE_DIR", dir.string().c_str(), 1);
-
-  SearchOptions options = smoke_options();
-  options.label = "corrupt";
-  options.persist = true;
-  options.max_simulations = 14;
   {
-    std::ofstream f(evaluations_path("corrupt"));
-    f << "not,a,dse,state\n1,2,3,4\n";
+    eval::ServiceConfig config;
+    config.threads = 2;
+    config.store_path = cache_dir() + "/eval_store.bin";
+    eval::EvalService service(config);
+
+    campaign::CampaignSpec spec;
+    spec.label = "cache_dir";
+    spec.num_configs = 4;
+    spec.verbose = false;
+    campaign::run_campaign(spec, service);
+
+    SearchOptions options = smoke_options();
+    options.label = "cache_dir";
+    options.persist = true;
+    options.max_simulations = 14;
+    const SearchResult result = search(options, service);
+    EXPECT_EQ(result.journal_file, journal_path("cache_dir"));
+    EXPECT_EQ(load_journal(result.journal_file).rounds.size(),
+              result.journal.rounds.size());
   }
-  const SearchResult result = search(options);  // must not throw
-  EXPECT_EQ(result.evaluated.size(), 14u);
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"dse_cache_dir_journal.csv",
+                                             "eval_store.bin"}));
 
   unsetenv("ADSE_CACHE_DIR");
   std::filesystem::remove_all(dir);
